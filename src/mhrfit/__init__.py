@@ -11,8 +11,8 @@ harness; the `mhrfit` command exposes everything over CSV files.
 
 __version__ = "0.1.0"
 
-from .gcm import (ConvexMinorantFit, PlanePoint, gcm_of_composed_hazards,
-                  left_slope_at, lower_convex_hull)
+from .gcm import (ConvexMinorantFit, gcm_of_composed_hazards, left_slope_at,
+                  lower_convex_hull)
 from .inference import (ChernoffConfig, ChernoffTable, ConfidenceInterval,
                         SplitFit, chernoff_quantile, chernoff_table,
                         cv_bandwidth, estimate_tau, local_linear_slope,
@@ -30,17 +30,16 @@ from .stochastic_orders import (DiscreteDistribution, OrderReport,
                                 OrderVerdict, check_order, discrete_hazard,
                                 figure1_suite, order_report,
                                 parametric_hazard_ratio, truncated_geometric)
-from .survival_core import (CensoredSample, Observation, StepFunction,
-                            SurvivalCurve, generalized_inverse,
-                            hazard_increments, kaplan_meier, nelson_aalen,
-                            reverse_kaplan_meier)
+from .survival_core import (CensoredSample, StepFunction, SurvivalCurve,
+                            generalized_inverse, hazard_increments,
+                            kaplan_meier, nelson_aalen, reverse_kaplan_meier)
 
 __all__ = [
     "__version__",
-    "CensoredSample", "Observation", "StepFunction", "SurvivalCurve",
+    "CensoredSample", "StepFunction", "SurvivalCurve",
     "generalized_inverse", "hazard_increments", "kaplan_meier",
     "nelson_aalen", "reverse_kaplan_meier",
-    "PlanePoint", "ConvexMinorantFit", "lower_convex_hull",
+    "ConvexMinorantFit", "lower_convex_hull",
     "gcm_of_composed_hazards", "left_slope_at",
     "MhrFit", "TruncationPolicy", "fit_theta", "theta_at", "gamma_n",
     "truncation_fraction", "diagnostic_curve",

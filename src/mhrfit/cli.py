@@ -223,9 +223,9 @@ def _fit_payload(fit) -> dict:
                   "value_at_zero": float(fit.theta.value_at_zero)},
         "gamma_n": float(fit.gamma_n),
         "eta_n": float(fit.eta_n),
-        "hull": {"u": [float(p.u) for p in fit.hull.vertices],
-                 "v": [float(p.v) for p in fit.hull.vertices],
-                 "slopes": [float(s) for s in fit.hull.slopes]},
+        "hull": {"u": fit.hull.u.tolist(),
+                 "v": fit.hull.v.tolist(),
+                 "slopes": fit.hull.slopes.tolist()},
     }
 
 
@@ -311,7 +311,7 @@ def cmd_diagnose(args) -> int:
     sample = _read_sample(args.input)
     policy = _parse_policy(args.rn)
     try:
-        points, hull = diagnostic_curve(sample, policy=policy)
+        (u, v), hull = diagnostic_curve(sample, policy=policy)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -319,12 +319,12 @@ def cmd_diagnose(args) -> int:
     csv_path = os.path.join(args.out, "diagnostic.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("lambda_T,lambda_S,hull\n")
-        for p in points:
-            fh.write(f"{p.u!r},{p.v!r},{hull.value_at(p.u)!r}\n")
+        for row in zip(u.tolist(), v.tolist(), hull.value_at(u).tolist()):
+            fh.write("{!r},{!r},{!r}\n".format(*row))
     svg_path = os.path.join(args.out, "diagnostic.svg")
     series = [
-        {"points": [(p.u, p.v) for p in points]},
-        {"points": [(p.u, p.v) for p in hull.vertices],
+        {"points": list(zip(u.tolist(), v.tolist()))},
+        {"points": list(zip(hull.u.tolist(), hull.v.tolist())),
          "dashed": True, "color": "gray"},
     ]
     with open(svg_path, "w", encoding="utf-8") as fh:

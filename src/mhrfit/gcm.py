@@ -1,22 +1,20 @@
 """Greatest convex minorant geometry.
 
-Lower convex hulls of finite point sets, the minorant of one cumulative
-hazard composed with the inverse of another, and left-derivative (slope)
-extraction.  The hull sweep uses a strict cross-product test, so collinear
-input points stay in the vertex list: the vertices are exactly the input
-points lying on the minorant.
+Lower convex hulls of finite point sets given as coordinate arrays, the
+minorant of one cumulative hazard composed with the inverse of another,
+and left-derivative (slope) extraction.  The hull sweep uses a strict
+cross-product test, so collinear input points stay in the vertex list: the
+vertices are exactly the input points lying on the minorant.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .survival_core import StepFunction, generalized_inverse
 
 __all__ = [
-    "PlanePoint",
     "ConvexMinorantFit",
     "lower_convex_hull",
     "gcm_of_composed_hazards",
@@ -24,75 +22,56 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PlanePoint:
-    """A point on the (cumulative hazard, cumulative hazard) plane."""
-
-    u: float
-    v: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.u) and np.isfinite(self.v)):
-            raise ValueError(f"coordinates must be finite, got ({self.u}, {self.v})")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvexMinorantFit:
-    """Vertices (strictly increasing u) and segment slopes of a minorant."""
+    """Vertices (u strictly increasing, v) and segment slopes of a minorant."""
 
-    vertices: tuple[PlanePoint, ...]
-    slopes: tuple[float, ...]
+    u: np.ndarray
+    v: np.ndarray
+    slopes: np.ndarray
 
     def __post_init__(self):
-        if len(self.slopes) != max(len(self.vertices) - 1, 0):
-            raise ValueError("need one slope per vertex pair")
-
-    @property
-    def vertex_u(self) -> np.ndarray:
-        return np.array([p.u for p in self.vertices])
-
-    @property
-    def vertex_v(self) -> np.ndarray:
-        return np.array([p.v for p in self.vertices])
+        if len(self.slopes) != max(len(self.u) - 1, 0) or len(self.u) != len(self.v):
+            raise ValueError("need equal-length u and v and one slope per vertex pair")
 
     def value_at(self, u):
         """Piecewise-linear evaluation on [first u, last u]."""
-        us, vs = self.vertex_u, self.vertex_v
-        if np.any(u < us[0]) or np.any(u > us[-1]):
+        if np.any(u < self.u[0]) or np.any(u > self.u[-1]):
             raise ValueError("outside hull domain")
-        out = np.interp(u, us, vs)
-        if np.isscalar(u) or np.ndim(u) == 0:
+        out = np.interp(u, self.u, self.v)
+        if np.ndim(u) == 0:
             return float(out)
         return out
 
 
-def _cross(a: PlanePoint, b: PlanePoint, c: PlanePoint) -> float:
-    return (b.u - a.u) * (c.v - a.v) - (b.v - a.v) * (c.u - a.u)
-
-
-def lower_convex_hull(points: Sequence[PlanePoint]) -> ConvexMinorantFit:
-    """Lower convex hull of a finite point set.
+def lower_convex_hull(u, v) -> ConvexMinorantFit:
+    """Lower convex hull of the points (u[i], v[i]).
 
     Duplicate abscissas keep the minimum ordinate.  Pops only on strictly
     negative cross products, so points lying exactly on the hull survive
     as vertices and consecutive equal slopes are possible.
     """
-    if len(points) == 0:
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if u.shape != v.shape or u.ndim != 1:
+        raise ValueError("u and v must be 1-d arrays of equal length")
+    if u.size == 0:
         raise ValueError("empty input")
-    best: dict[float, PlanePoint] = {}
-    for p in points:
-        q = best.get(p.u)
-        if q is None or p.v < q.v:
-            best[p.u] = p
-    ordered = sorted(best.values(), key=lambda p: p.u)
-    stack: list[PlanePoint] = []
-    for p in ordered:
-        while len(stack) >= 2 and _cross(stack[-2], stack[-1], p) < 0:
-            stack.pop()
-        stack.append(p)
-    slopes = tuple(
-        (b.v - a.v) / (b.u - a.u) for a, b in zip(stack, stack[1:]))
-    return ConvexMinorantFit(tuple(stack), slopes)
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+        raise ValueError("coordinates must be finite")
+    order = np.lexsort((v, u))
+    u, v = u[order], v[order]
+    first = np.concatenate([[True], u[1:] != u[:-1]])
+    hu, hv = [], []
+    for pu, pv in zip(u[first].tolist(), v[first].tolist()):
+        while len(hu) >= 2 and ((hu[-1] - hu[-2]) * (pv - hv[-2])
+                                - (hv[-1] - hv[-2]) * (pu - hu[-2])) < 0:
+            hu.pop()
+            hv.pop()
+        hu.append(pu)
+        hv.append(pv)
+    hu, hv = np.array(hu), np.array(hv)
+    return ConvexMinorantFit(hu, hv, np.diff(hv) / np.diff(hu))
 
 
 def gcm_of_composed_hazards(lambda_S: StepFunction, lambda_T: StepFunction,
@@ -109,28 +88,25 @@ def gcm_of_composed_hazards(lambda_S: StepFunction, lambda_T: StepFunction,
         raise ValueError(f"eta beyond support: {eta} > {lambda_T.sup}")
     if eta < 0:
         raise ValueError("eta must be nonnegative")
-    pts = [PlanePoint(0.0, 0.0)]
-    covered = eta == 0.0
-    for t, u in zip(lambda_T.knots, lambda_T.values):
-        if u > eta:
-            break
-        pts.append(PlanePoint(float(u), lambda_S(float(t))))
-        if u == eta:
-            covered = True
-    if not covered:
+    keep = lambda_T.values <= eta
+    u = np.concatenate([[0.0], lambda_T.values[keep]])
+    v = np.concatenate([[0.0], lambda_S(lambda_T.knots[keep])])
+    if not np.any(u == eta):
         t_eta = generalized_inverse(lambda_T, eta)
-        pts.append(PlanePoint(float(eta), lambda_S(t_eta)))
-    return lower_convex_hull(pts)
+        u = np.append(u, eta)
+        v = np.append(v, lambda_S(t_eta))
+    return lower_convex_hull(u, v)
 
 
-def left_slope_at(fit: ConvexMinorantFit, u: float) -> float:
-    """Slope of the hull segment reaching u from the left.
+def left_slope_at(fit: ConvexMinorantFit, u):
+    """Slope of the hull segment reaching u from the left; scalar or array u.
 
     At a vertex this is the slope of the segment ending there; at the
     first vertex and outside [first u, last u] there is no such segment.
     """
-    us = fit.vertex_u
-    if len(fit.vertices) < 2 or u <= us[0] or u > us[-1]:
+    if len(fit.u) < 2 or np.any((u <= fit.u[0]) | (u > fit.u[-1])):
         raise ValueError(f"outside hull domain: u={u}")
-    idx = int(np.searchsorted(us, u, side="left"))
-    return fit.slopes[idx - 1]
+    out = fit.slopes[np.searchsorted(fit.u, u, side="left") - 1]
+    if np.ndim(u) == 0:
+        return float(out)
+    return out

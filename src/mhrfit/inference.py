@@ -374,8 +374,9 @@ def split_fit(sample: CensoredSample, m: int,
     perm = rng.permutation(sample.n)
     fits = []
     for part in np.array_split(perm, m):
+        idx = np.sort(part)
         try:
-            sub = CensoredSample(tuple(sample.observations[i] for i in np.sort(part)))
+            sub = CensoredSample(sample.time[idx], sample.status[idx], sample.arm[idx])
             fits.append(fit_theta(sub, policy))
         except ValueError as exc:
             raise ValueError("split degenerate; reduce m") from exc

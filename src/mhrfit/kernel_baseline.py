@@ -102,7 +102,7 @@ def _cv_arrays(sample: CensoredSample, arm: int):
     the well-estimated part of the hazard.
     """
     times, inc, y = hazard_increments(sample, arm)
-    n_arm = sample.arm_arrays(arm)[0].size
+    n_arm = np.count_nonzero(sample.arm == arm)
     keep = y >= max(5.0, math.sqrt(n_arm))
     if np.count_nonzero(keep) >= 3:
         return times[keep], inc[keep], y[keep]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gcm import ConvexMinorantFit, gcm_of_composed_hazards, left_slope_at, lower_convex_hull, PlanePoint
+from .gcm import ConvexMinorantFit, gcm_of_composed_hazards, left_slope_at
 from .survival_core import CensoredSample, StepFunction, nelson_aalen
 
 __all__ = [
@@ -111,8 +111,8 @@ def fit_theta(sample: CensoredSample,
     hull = gcm_of_composed_hazards(lam_S, lam_T, eta)
     mask = lam_T.knots <= gamma
     knots = lam_T.knots[mask]
-    values = np.array([left_slope_at(hull, u) for u in lam_T.values[mask]])
-    theta = StepFunction(knots, values, value_at_zero=hull.slopes[0])
+    values = left_slope_at(hull, lam_T.values[mask])
+    theta = StepFunction(knots, values, value_at_zero=float(hull.slopes[0]))
     return MhrFit(theta=theta, gamma_n=gamma, eta_n=float(eta), hull=hull,
                   lambda_S_hat=lam_S, lambda_T_hat=lam_T)
 
@@ -130,13 +130,15 @@ def diagnostic_curve(sample: CensoredSample,
                      policy: TruncationPolicy = TruncationPolicy()):
     """Points (Lambda_T(t), Lambda_S(t)) at control event times, with their hull.
 
-    Deviation of the points from the hull is the informal graphical check of
-    the monotone hazard-ratio assumption: under it the curve is convex.
+    Returns ((u, v), hull): the points as two arrays, anchored at (0, 0),
+    and the fit's minorant, which is the lower convex hull of exactly
+    these points.  Deviation of the points from the hull is the informal
+    graphical check of the monotone hazard-ratio assumption: under it the
+    curve is convex.
     """
     fit = fit_theta(sample, policy)
     lam_T, lam_S = fit.lambda_T_hat, fit.lambda_S_hat
     mask = lam_T.knots <= fit.gamma_n
-    points = [PlanePoint(0.0, 0.0)]
-    points += [PlanePoint(float(u), lam_S(float(t)))
-               for t, u in zip(lam_T.knots[mask], lam_T.values[mask])]
-    return points, lower_convex_hull(points)
+    u = np.concatenate([[0.0], lam_T.values[mask]])
+    v = np.concatenate([[0.0], lam_S(lam_T.knots[mask])])
+    return (u, v), fit.hull

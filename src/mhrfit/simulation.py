@@ -15,6 +15,7 @@ and process-parallel runs aggregate identically.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -173,7 +174,7 @@ def generate_dataset(scenario: Scenario, n: int, pi: float,
         raise ValueError("n must be positive")
     if not 0.0 < pi < 1.0:
         raise ValueError("pi must lie in (0, 1)")
-    key = (seed,) if isinstance(seed, int) else tuple(seed)
+    key = (int(seed),) if isinstance(seed, numbers.Integral) else tuple(seed)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
     arm = (rng.random(n) < pi).astype(np.int64)
     targets = rng.exponential(size=n)

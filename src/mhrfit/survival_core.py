@@ -1,9 +1,10 @@
 """Step-function algebra and the classical right-censored estimators.
 
 Everything downstream (hull construction, the monotone ratio estimator,
-confidence intervals) consumes the objects defined here: per-subject
-observations, two-arm samples, right-continuous step functions, and the
-Nelson-Aalen / Kaplan-Meier / reverse Kaplan-Meier fits.
+confidence intervals) consumes the objects defined here: two-arm samples
+held as three read-only columns, right-continuous step functions, and the
+Nelson-Aalen / Kaplan-Meier / reverse Kaplan-Meier fits.  Per-subject
+work is done by masks and sorts on the columns, never by a loop.
 
 Conventions: arm 0 is the control arm (T), arm 1 the treatment arm (S);
 status 1 is an event, 0 a censoring.  At tied times events are counted
@@ -17,11 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Observation",
     "CensoredSample",
     "StepFunction",
     "SurvivalCurve",
-    "eval",
     "generalized_inverse",
     "hazard_increments",
     "nelson_aalen",
@@ -30,58 +29,70 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One subject: observed time, event indicator, arm label."""
-
-    time: float
-    status: int
-    arm: int
-
-    def __post_init__(self):
-        if not np.isfinite(self.time) or self.time < 0:
-            raise ValueError(f"time must be finite and nonnegative, got {self.time}")
-        if self.status not in (0, 1):
-            raise ValueError(f"status must be 0 or 1, got {self.status}")
-        if self.arm not in (0, 1):
-            raise ValueError(f"arm must be 0 or 1, got {self.arm}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CensoredSample:
-    """A two-arm right-censored sample."""
+    """A two-arm right-censored sample: one entry per subject in each column.
 
-    observations: tuple[Observation, ...]
+    ``time`` is float, ``status`` and ``arm`` are 0/1 integers.  The columns
+    are private copies of the input and are read-only.
+    """
+
+    time: np.ndarray
+    status: np.ndarray
+    arm: np.ndarray
 
     def __post_init__(self):
-        if len(self.observations) < 1:
+        time = np.array(self.time, dtype=float)
+        status, arm = np.asarray(self.status), np.asarray(self.arm)
+        if time.ndim != 1 or not time.shape == status.shape == arm.shape:
+            raise ValueError("time, status and arm must be 1-d columns of equal length")
+        if time.size < 1:
             raise ValueError("sample must contain at least one observation")
-        object.__setattr__(self, "observations", tuple(self.observations))
+        bad = ~(np.isfinite(time) & (time >= 0))
+        if bad.any():
+            raise ValueError(f"time must be finite and nonnegative, got {time[bad][0]}")
+        columns = {"time": time}
+        for name, col in (("status", status), ("arm", arm)):
+            bad = (col != 0) & (col != 1)
+            if bad.any():
+                raise ValueError(f"{name} must be 0 or 1, got {col[bad][0]}")
+            columns[name] = col.astype(np.int64)
+        for name, col in columns.items():
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
 
     @classmethod
     def from_arrays(cls, times, status, arms) -> "CensoredSample":
-        times = np.asarray(times, dtype=float)
-        status = np.asarray(status, dtype=int)
-        arms = np.asarray(arms, dtype=int)
-        if not (times.shape == status.shape == arms.shape):
-            raise ValueError("times, status and arms must have equal length")
-        return cls(tuple(Observation(float(t), int(d), int(a))
-                         for t, d, a in zip(times, status, arms)))
+        """Sample from three equal-length columns, validated, never coerced."""
+        return cls(times, status, arms)
 
     @property
     def n(self) -> int:
-        return len(self.observations)
+        return int(self.time.size)
 
     @property
     def pi_n(self) -> float:
         """Empirical fraction of subjects in arm 1."""
-        return sum(o.arm for o in self.observations) / self.n
+        return int(self.arm.sum()) / self.n
 
     def arm_arrays(self, arm: int) -> tuple[np.ndarray, np.ndarray]:
         """(times, status) for one arm, in input order."""
-        t = np.array([o.time for o in self.observations if o.arm == arm])
-        d = np.array([o.status for o in self.observations if o.arm == arm])
-        return t, d
+        mask = self.arm == arm
+        return self.time[mask], self.status[mask]
+
+
+def _step_lookup(knots, values, default, t, side):
+    """values[j] at the j-th knot interval, default before the first knot.
+
+    side "right" evaluates right-continuously (intervals [k_j, k_j+1));
+    side "left" gives the left limit (intervals (k_j, k_j+1]).
+    """
+    idx = np.searchsorted(knots, t, side=side) - 1
+    out = np.where(idx >= 0, values[np.maximum(idx, 0)] if values.size
+                   else default, default)
+    if np.ndim(t) == 0:
+        return float(out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -111,21 +122,11 @@ class StepFunction:
 
     def __call__(self, t):
         """Right-continuous evaluation; scalar or array argument."""
-        idx = np.searchsorted(self.knots, t, side="right") - 1
-        out = np.where(idx >= 0, self.values[np.maximum(idx, 0)] if self.values.size
-                       else self.value_at_zero, self.value_at_zero)
-        if np.isscalar(t) or np.ndim(t) == 0:
-            return float(out)
-        return out
+        return _step_lookup(self.knots, self.values, self.value_at_zero, t, "right")
 
     def left_limit(self, t):
         """Value just before t (the left limit)."""
-        idx = np.searchsorted(self.knots, t, side="left") - 1
-        out = np.where(idx >= 0, self.values[np.maximum(idx, 0)] if self.values.size
-                       else self.value_at_zero, self.value_at_zero)
-        if np.isscalar(t) or np.ndim(t) == 0:
-            return float(out)
-        return out
+        return _step_lookup(self.knots, self.values, self.value_at_zero, t, "left")
 
     @property
     def sup(self) -> float:
@@ -153,26 +154,12 @@ class SurvivalCurve:
             raise ValueError("survival values must be non-increasing")
         object.__setattr__(self, "survival", survival)
 
-    def _lookup(self, t, side):
-        idx = np.searchsorted(self.distribution.knots, t, side=side) - 1
-        out = np.where(idx >= 0,
-                       self.survival[np.maximum(idx, 0)] if self.survival.size
-                       else 1.0, 1.0)
-        if np.isscalar(t) or np.ndim(t) == 0:
-            return float(out)
-        return out
-
     def __call__(self, t):
-        return self._lookup(t, "right")
+        return _step_lookup(self.distribution.knots, self.survival, 1.0, t, "right")
 
     def left_limit(self, t):
         """Survival just before t."""
-        return self._lookup(t, "left")
-
-
-def eval(f: StepFunction, t: float) -> float:
-    """Right-continuous evaluation of a step function."""
-    return f(t)
+        return _step_lookup(self.distribution.knots, self.survival, 1.0, t, "left")
 
 
 def generalized_inverse(f: StepFunction, u: float) -> float:
@@ -226,6 +213,5 @@ def kaplan_meier(sample: CensoredSample, arm: int) -> SurvivalCurve:
 
 def reverse_kaplan_meier(sample: CensoredSample, arm: int) -> SurvivalCurve:
     """Kaplan-Meier with the status flipped: the censoring survival curve."""
-    flipped = CensoredSample(tuple(
-        Observation(o.time, 1 - o.status, o.arm) for o in sample.observations))
+    flipped = CensoredSample(sample.time, 1 - sample.status, sample.arm)
     return kaplan_meier(flipped, arm)

@@ -157,12 +157,13 @@ def tau_bracket_oracle(sample, x, theta):
     with each survival factor recomputed by the O(n^2) product-limit
     loops above (events for F_S, F_T; flipped status for F_U, F_V).
     """
-    obs = sample.observations
-    pi = sum(o.arm for o in obs) / len(obs)
-    t1 = [o.time for o in obs if o.arm == 1]
-    d1 = [o.status for o in obs if o.arm == 1]
-    t0 = [o.time for o in obs if o.arm == 0]
-    d0 = [o.status for o in obs if o.arm == 0]
+    obs = list(zip(sample.time.tolist(), sample.status.tolist(),
+                   sample.arm.tolist()))
+    pi = sum(a for _, _, a in obs) / len(obs)
+    t1 = [t for t, _, a in obs if a == 1]
+    d1 = [d for _, d, a in obs if a == 1]
+    t0 = [t for t, _, a in obs if a == 0]
+    d0 = [d for _, d, a in obs if a == 0]
     fbar_s = naive_km_at(t1, d1, x)
     fbar_t = naive_km_at(t0, d0, x)
     fbar_u = naive_km_at(t1, [1 - d for d in d1], x, left=True)

@@ -18,7 +18,7 @@ from scipy import stats
 
 from conftest import random_censored_sample
 from mhrfit import cli
-from mhrfit.gcm import PlanePoint, lower_convex_hull
+from mhrfit.gcm import lower_convex_hull
 from mhrfit.inference import ChernoffConfig, chernoff_table
 from mhrfit.mhr_estimator import fit_theta
 from mhrfit.simulation import (StudyConfig, run_study, sample_censoring,
@@ -68,15 +68,16 @@ def test_criterion_02_gcm_matches_exact_oracle():
         us = rng.integers(0, 81, size=k) / 8.0
         vs = rng.integers(0, 81, size=k) / 8.0
         points = list(zip(us.tolist(), vs.tolist()))
-        fit = lower_convex_hull([PlanePoint(u, v) for u, v in points])
-        got_vertices = [(Fraction(p.u), Fraction(p.v)) for p in fit.vertices]
+        fit = lower_convex_hull(us, vs)
+        got_vertices = [(Fraction(u), Fraction(v))
+                        for u, v in zip(fit.u.tolist(), fit.v.tolist())]
         assert got_vertices == gcm_vertices_exact(points)
         exact_slopes = [float((v1 - v0) / (u1 - u0)) for (u0, v0), (u1, v1)
                         in zip(got_vertices, got_vertices[1:])]
         assert list(fit.slopes) == exact_slopes
         values = dict(gcm_values_exact(points))
-        for p in fit.vertices:
-            assert Fraction(fit.value_at(p.u)) == values[Fraction(p.u)]
+        for u in fit.u.tolist():
+            assert Fraction(fit.value_at(u)) == values[Fraction(u)]
     assert time.perf_counter() - start < 10.0
 
 
@@ -146,12 +147,10 @@ def test_criterion_05_time_transform_equivariance():
     checked = 0
     while checked < 100:
         sample = random_censored_sample(rng)
-        times = np.array([o.time for o in sample.observations])
+        times = sample.time
         cubed_times = times ** 3
-        cubed = CensoredSample.from_arrays(
-            cubed_times,
-            np.array([o.status for o in sample.observations]),
-            np.array([o.arm for o in sample.observations]))
+        cubed = CensoredSample.from_arrays(cubed_times, sample.status,
+                                           sample.arm)
         try:
             fit = fit_theta(sample)
         except ValueError:

@@ -18,8 +18,9 @@ def write_sample_csv(path, n=80, seed=3, scenario="linear"):
     sample = generate_dataset(make_scenario(scenario), n, 0.5, seed=seed)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("time,status,arm\n")
-        for o in sample.observations:
-            fh.write(f"{o.time!r},{o.status},{o.arm}\n")
+        for t, d, a in zip(sample.time.tolist(), sample.status.tolist(),
+                           sample.arm.tolist()):
+            fh.write(f"{t!r},{d},{a}\n")
     return path
 
 

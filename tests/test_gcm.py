@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mhrfit.gcm import (ConvexMinorantFit, PlanePoint, gcm_of_composed_hazards,
+from mhrfit.gcm import (ConvexMinorantFit, gcm_of_composed_hazards,
                         left_slope_at, lower_convex_hull)
 from mhrfit.survival_core import StepFunction
 from oracles import (composed_values_on_grid, gcm_on_grid_pava,
@@ -14,32 +14,37 @@ from oracles import (composed_values_on_grid, gcm_on_grid_pava,
 
 
 def hull_of(coords):
-    return lower_convex_hull([PlanePoint(u, v) for u, v in coords])
+    coords = np.asarray(coords, dtype=float).reshape(-1, 2)
+    return lower_convex_hull(coords[:, 0], coords[:, 1])
+
+
+def vertices(fit):
+    return list(zip(fit.u.tolist(), fit.v.tolist()))
 
 
 class TestLowerConvexHull:
     def test_four_point_example(self):
         fit = hull_of([(0, 0), (1, 2), (2, 2.5), (3, 4.5)])
-        assert [(p.u, p.v) for p in fit.vertices] == [(0, 0), (2, 2.5), (3, 4.5)]
+        assert vertices(fit) == [(0, 0), (2, 2.5), (3, 4.5)]
         assert list(fit.slopes) == [1.25, 2.0]
 
     def test_collinear_points_stay_vertices(self):
         fit = hull_of([(0, 0), (1, 1), (2, 2)])
-        assert [(p.u, p.v) for p in fit.vertices] == [(0, 0), (1, 1), (2, 2)]
+        assert vertices(fit) == [(0, 0), (1, 1), (2, 2)]
         assert list(fit.slopes) == [1.0, 1.0]
 
     def test_single_point(self):
         fit = hull_of([(0, 0)])
-        assert len(fit.vertices) == 1
-        assert fit.slopes == ()
+        assert len(fit.u) == 1
+        assert fit.slopes.size == 0
 
     def test_empty_input(self):
         with pytest.raises(ValueError, match="empty"):
-            lower_convex_hull([])
+            lower_convex_hull([], [])
 
     def test_duplicate_abscissa_keeps_minimum(self):
         fit = hull_of([(0, 0), (1, 5), (1, 2), (2, 4)])
-        assert [(p.u, p.v) for p in fit.vertices] == [(0, 0), (1, 2), (2, 4)]
+        assert vertices(fit) == [(0, 0), (1, 2), (2, 4)]
 
     def test_value_at_is_plain_float(self):
         fit = hull_of([(0, 0), (2, 2.5), (3, 4.5)])
@@ -57,10 +62,10 @@ class TestLowerConvexHull:
             coords = rng.integers(0, 81, size=(size, 2)) / 8.0
             fit = hull_of(coords.tolist())
             expected = gcm_vertices_exact(coords.tolist())
-            got = [(Fraction(p.u), Fraction(p.v)) for p in fit.vertices]
+            got = [(Fraction(u), Fraction(v)) for u, v in vertices(fit)]
             assert got == expected
             values = dict(gcm_values_exact(coords.tolist()))
-            vertex_us = {Fraction(p.u) for p in fit.vertices}
+            vertex_us = {Fraction(u) for u in fit.u.tolist()}
             for u, gv in values.items():
                 diff = abs(Fraction(fit.value_at(float(u))) - gv)
                 # exact at vertices; interpolation rounding in between
@@ -75,7 +80,7 @@ class TestLowerConvexHull:
             assert np.all(np.diff(fit.slopes) >= -1e-12)
             for u, v in coords.tolist():
                 assert fit.value_at(u) <= v + 1e-9
-            vertex_set = {(p.u, p.v) for p in fit.vertices}
+            vertex_set = set(vertices(fit))
             assert vertex_set <= {(u, v) for u, v in coords.tolist()}
 
 
@@ -92,14 +97,18 @@ class TestLeftSlopeAt:
             left_slope_at(fit, 0.0)
         with pytest.raises(ValueError, match="outside hull domain"):
             left_slope_at(fit, 2.5)
+        with pytest.raises(ValueError, match="outside hull domain"):
+            left_slope_at(fit, np.array([1.0, 2.5]))
 
     def test_nondecreasing_in_u(self):
         rng = np.random.default_rng(17)
         coords = rng.uniform(0.0, 10.0, size=(10, 2))
         fit = hull_of(coords.tolist())
-        us = np.linspace(fit.vertices[0].u + 1e-9, fit.vertices[-1].u, 50)
+        us = np.linspace(fit.u[0] + 1e-9, fit.u[-1], 50)
         slopes = [left_slope_at(fit, float(u)) for u in us]
         assert np.all(np.diff(slopes) >= 0)
+        # one array call gives the scalar results elementwise
+        assert np.array_equal(left_slope_at(fit, us), slopes)
 
 
 class TestComposedHazards:
@@ -107,7 +116,7 @@ class TestComposedHazards:
         lam_S = StepFunction(np.array([1.0, 3.0]), np.array([0.5, 1.5]))
         lam_T = StepFunction(np.array([2.0, 4.0]), np.array([0.5, 1.5]))
         fit = gcm_of_composed_hazards(lam_S, lam_T, eta=1.5)
-        assert [(p.u, p.v) for p in fit.vertices] == [(0, 0), (0.5, 0.5),
+        assert vertices(fit) == [(0, 0), (0.5, 0.5),
                                                       (1.5, 1.5)]
         assert list(fit.slopes) == [1.0, 1.0]
 
@@ -119,7 +128,7 @@ class TestComposedHazards:
     def test_eta_zero_degenerate(self):
         lam = StepFunction(np.array([1.0]), np.array([0.5]))
         fit = gcm_of_composed_hazards(lam, lam, eta=0.0)
-        assert [(p.u, p.v) for p in fit.vertices] == [(0.0, 0.0)]
+        assert vertices(fit) == [(0.0, 0.0)]
 
     def test_eta_beyond_support(self):
         lam = StepFunction(np.array([1.0]), np.array([0.5]))
@@ -130,9 +139,9 @@ class TestComposedHazards:
         lam_S = StepFunction(np.array([1.0, 3.0]), np.array([0.5, 1.5]))
         lam_T = StepFunction(np.array([2.0, 4.0]), np.array([0.5, 1.5]))
         fit = gcm_of_composed_hazards(lam_S, lam_T, eta=1.0)
-        assert fit.vertices[-1].u == 1.0
+        assert fit.u[-1] == 1.0
         # on (0.5, 1.5] the composition is lambda_S at lambda_T's second knot
-        assert fit.vertices[-1].v == 1.5
+        assert fit.v[-1] == 1.5
 
     def test_matches_dense_grid_oracle(self):
         rng = np.random.default_rng(23)

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from mhrfit.gcm import PlanePoint, lower_convex_hull
+from mhrfit.gcm import lower_convex_hull
 from mhrfit.inference import (DEFAULT_PROBABILITIES, ChernoffConfig,
                               ChernoffTable, ConfidenceInterval, SplitFit,
                               chernoff_quantile, chernoff_table, cv_bandwidth,
@@ -22,7 +22,7 @@ SMALL_MC = ChernoffConfig(replications=400)
 
 def constant_theta_fit(value: float, gamma: float = 10.0) -> MhrFit:
     """Synthetic fit whose theta is a constant; enough for interval math."""
-    hull = lower_convex_hull([PlanePoint(0.0, 0.0), PlanePoint(1.0, value)])
+    hull = lower_convex_hull([0.0, 1.0], [0.0, value])
     lam = StepFunction(np.array([gamma]), np.array([1.0]))
     theta = StepFunction(np.array([gamma]), np.array([value]),
                          value_at_zero=value)
@@ -239,8 +239,9 @@ class TestEstimateTau:
     def test_permutation_invariance(self, linear_sample_800):
         rng = np.random.default_rng(3)
         perm = rng.permutation(linear_sample_800.n)
-        shuffled = CensoredSample(tuple(
-            linear_sample_800.observations[i] for i in perm))
+        shuffled = CensoredSample.from_arrays(linear_sample_800.time[perm],
+                                              linear_sample_800.status[perm],
+                                              linear_sample_800.arm[perm])
         fit_a = fit_theta(linear_sample_800)
         fit_b = fit_theta(shuffled)
         assert (estimate_tau(fit_a, linear_sample_800, 0.8)

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from conftest import random_censored_sample
+from mhrfit.gcm import lower_convex_hull
 from mhrfit.mhr_estimator import (MhrFit, TruncationPolicy, diagnostic_curve,
                                   fit_theta, gamma_n, theta_at,
                                   truncation_fraction)
-from mhrfit.survival_core import CensoredSample, Observation
+from mhrfit.survival_core import CensoredSample
 
 
 class TestTruncationPolicy:
@@ -124,37 +125,43 @@ class TestThetaAt:
 class TestDiagnosticCurve:
     def test_anchor_plus_control_event_rows(self, toy_sample):
         # gamma_n = 3, so of the control events {2, 4} only 2 contributes
-        points, hull = diagnostic_curve(toy_sample)
-        assert points[0].u == 0.0 and points[0].v == 0.0
-        assert len(points) == 2
-        assert (points[1].u, points[1].v) == (0.5, 0.5)
+        (u, v), hull = diagnostic_curve(toy_sample)
+        assert u[0] == 0.0 and v[0] == 0.0
+        assert len(u) == 2
+        assert (u[1], v[1]) == (0.5, 0.5)
 
     def test_counts_match_control_events(self):
         rng = np.random.default_rng(41)
         s = random_censored_sample(rng, n=80)
         fit = fit_theta(s)
-        points, _ = diagnostic_curve(s)
+        (u, v), hull = diagnostic_curve(s)
         t, d = s.arm_arrays(0)
         n_events = np.unique(t[(d == 1) & (t <= fit.gamma_n)]).size
-        assert len(points) == n_events + 1
+        assert len(u) == n_events + 1
+        # the returned hull is the fit's minorant and the hull of the points
+        rebuilt = lower_convex_hull(u, v)
+        for got, want in ((hull.u, rebuilt.u), (hull.v, rebuilt.v),
+                          (hull.slopes, rebuilt.slopes),
+                          (hull.slopes, fit.hull.slopes)):
+            assert np.array_equal(got, want)
 
     def test_convex_input_hull_identical(self):
         # identical arms put every point on the diagonal: already convex
         times = np.array([1.0, 2.0, 3.0, 1.0, 2.0, 3.0])
         arms = np.array([0, 0, 0, 1, 1, 1])
         s = CensoredSample.from_arrays(times, np.ones(6, dtype=int), arms)
-        points, hull = diagnostic_curve(s)
-        assert len(points) == 4
-        for p in points:
-            assert hull.value_at(p.u) == p.v
+        (u, v), hull = diagnostic_curve(s)
+        assert len(u) == 4
+        for pu, pv in zip(u, v):
+            assert hull.value_at(pu) == pv
 
     def test_single_control_event(self):
         s = CensoredSample.from_arrays(
             np.array([1.0, 2.0, 3.0]),
             np.array([1, 1, 1]),
             np.array([1, 0, 1]))
-        points, hull = diagnostic_curve(s)
-        assert len(points) == 2
+        (u, _), hull = diagnostic_curve(s)
+        assert len(u) == 2
         assert len(hull.slopes) == 1
 
     def test_swapped_arms_reflect_the_curve(self):
@@ -165,11 +172,10 @@ class TestDiagnosticCurve:
         both = np.concatenate([times, times])
         arms = np.array([0] * 15 + [1] * 15)
         s = CensoredSample.from_arrays(both, np.ones(30, dtype=int), arms)
-        swapped = CensoredSample(tuple(
-            Observation(o.time, o.status, 1 - o.arm) for o in s.observations))
-        pts, _ = diagnostic_curve(s)
-        pts_sw, _ = diagnostic_curve(swapped)
-        assert [(p.u, p.v) for p in pts_sw] == [(p.v, p.u) for p in pts]
+        swapped = CensoredSample.from_arrays(s.time, s.status, 1 - s.arm)
+        (u, v), _ = diagnostic_curve(s)
+        (u_sw, v_sw), _ = diagnostic_curve(swapped)
+        assert list(zip(u_sw, v_sw)) == list(zip(v, u))
 
 
 class TestEquivariance:
@@ -177,9 +183,8 @@ class TestEquivariance:
         rng = np.random.default_rng(77)
         for _ in range(10):
             s = random_censored_sample(rng, n=60)
-            transformed = CensoredSample(tuple(
-                Observation(o.time ** 3, o.status, o.arm)
-                for o in s.observations))
+            transformed = CensoredSample.from_arrays(s.time ** 3, s.status,
+                                                     s.arm)
             try:
                 fit = fit_theta(s)
                 fit3 = fit_theta(transformed)

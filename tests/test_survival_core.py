@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_censored_sample
-from mhrfit.survival_core import (CensoredSample, Observation, StepFunction,
-                                  eval as step_eval, generalized_inverse,
-                                  hazard_increments, kaplan_meier,
-                                  nelson_aalen, reverse_kaplan_meier)
+from mhrfit.survival_core import (CensoredSample, StepFunction,
+                                  generalized_inverse, hazard_increments,
+                                  kaplan_meier, nelson_aalen,
+                                  reverse_kaplan_meier)
 from oracles import naive_survival_curves
 
 
@@ -23,20 +23,37 @@ def one_arm(times, status, arm=0):
     return other
 
 
-class TestObservation:
-    def test_fields_validated(self):
+class TestCensoredSample:
+    def test_columns_validated(self):
         with pytest.raises(ValueError):
-            Observation(-1.0, 1, 0)
+            CensoredSample.from_arrays([-1.0], [1], [0])
         with pytest.raises(ValueError):
-            Observation(1.0, 2, 0)
+            CensoredSample.from_arrays([1.0], [2], [0])
         with pytest.raises(ValueError):
-            Observation(1.0, 1, 3)
+            CensoredSample.from_arrays([1.0], [1], [3])
         with pytest.raises(ValueError):
-            Observation(float("nan"), 1, 0)
+            CensoredSample.from_arrays([float("nan")], [1], [0])
+        # non-binary values are refused, not truncated to 0 or 1
+        with pytest.raises(ValueError, match="status must be 0 or 1"):
+            CensoredSample.from_arrays([1.0], [0.9], [0])
+        with pytest.raises(ValueError, match="arm must be 0 or 1"):
+            CensoredSample.from_arrays([1.0], [1], [1.7])
 
     def test_sample_requires_observations(self):
         with pytest.raises(ValueError):
-            CensoredSample(())
+            CensoredSample.from_arrays([], [], [])
+
+    def test_columns_read_only(self):
+        times = np.array([1.0, 2.0])
+        s = CensoredSample.from_arrays(times, [1, 0], [0, 1])
+        with pytest.raises(AttributeError):
+            s.time = np.array([3.0, 4.0])
+        for column in (s.time, s.status, s.arm):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+        # the sample owns a copy: the caller's array stays writeable
+        times[0] = 5.0
+        assert s.time[0] == 1.0
 
     def test_pi_n(self):
         s = CensoredSample.from_arrays([1.0, 2.0, 3.0, 4.0],
@@ -56,9 +73,9 @@ class TestStepFunction:
 
     def test_eval_right_continuous(self):
         f = StepFunction(np.array([1.0, 2.0]), np.array([0.3, 0.8]))
-        assert step_eval(f, 1.5) == 0.3
-        assert step_eval(f, 2.0) == 0.8
-        assert step_eval(f, 0.5) == 0.0
+        assert f(1.5) == 0.3
+        assert f(2.0) == 0.8
+        assert f(0.5) == 0.0
         assert f.left_limit(2.0) == 0.3
         assert f.left_limit(1.0) == 0.0
         assert f.sup == 0.8
@@ -188,8 +205,7 @@ class TestReverseKaplanMeier:
     def test_swap_symmetry(self):
         rng = np.random.default_rng(9)
         s = random_censored_sample(rng, n=60)
-        flipped = CensoredSample(tuple(
-            Observation(o.time, 1 - o.status, o.arm) for o in s.observations))
+        flipped = CensoredSample.from_arrays(s.time, 1 - s.status, s.arm)
         for arm in (0, 1):
             if not np.any(s.arm_arrays(arm)[1] == 0):
                 continue
