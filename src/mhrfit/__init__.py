@@ -19,7 +19,7 @@ from .inference import (ChernoffConfig, ChernoffTable, ConfidenceInterval,
                         plugin_ci, split_ci, split_fit)
 from .kernel_baseline import (SmoothedHazard, cv_bandwidth_hazard,
                               fit_smoothed_hazard, smooth_hr_ci,
-                              smoothed_hazard)
+                              smooth_hr_fit)
 from .mhr_estimator import (MhrFit, TruncationPolicy, diagnostic_curve,
                             fit_theta, gamma_n, theta_at, truncation_fraction)
 from .simulation import (MetricCell, Scenario, StudyConfig, StudyMetrics,
@@ -46,7 +46,7 @@ __all__ = [
     "ChernoffConfig", "ChernoffTable", "ConfidenceInterval", "SplitFit",
     "chernoff_table", "chernoff_quantile", "local_linear_slope",
     "cv_bandwidth", "estimate_tau", "plugin_ci", "split_fit", "split_ci",
-    "SmoothedHazard", "fit_smoothed_hazard", "smoothed_hazard",
+    "SmoothedHazard", "fit_smoothed_hazard", "smooth_hr_fit",
     "cv_bandwidth_hazard", "smooth_hr_ci",
     "DiscreteDistribution", "OrderVerdict", "OrderReport", "discrete_hazard",
     "check_order", "order_report", "parametric_hazard_ratio",

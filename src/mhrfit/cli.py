@@ -234,6 +234,12 @@ def _format_cell(value) -> str:
 
 
 def cmd_estimate(args) -> int:
+    if not 0.0 < args.alpha < 1.0:
+        raise InputError("--alpha must lie in (0, 1)")
+    if args.splits < 2:
+        raise InputError("--splits must be at least 2")
+    if args.chernoff_reps < 1:
+        raise InputError("--chernoff-reps must be at least 1")
     sample = _read_sample(args.input)
     policy = _parse_policy(args.rn)
     try:

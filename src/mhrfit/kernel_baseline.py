@@ -2,32 +2,29 @@
 
 Each arm's hazard is estimated by Epanechnikov smoothing of the
 Nelson-Aalen increments, with a least-squares cross-validated bandwidth.
-The ratio gets a delta-method interval on the log scale.  No boundary
-correction is applied, and nothing constrains the ratio to be monotone.
+The bandwidths depend on the sample only, so `smooth_hr_fit` chooses them
+once per sample and `smooth_hr_ci` evaluates that fit at any x.  The ratio
+gets a delta-method interval on the log scale.  No boundary correction is
+applied, and nothing constrains the ratio to be monotone.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import norm
 
-from .inference import ConfidenceInterval
+from .inference import ConfidenceInterval, _epanechnikov
 from .survival_core import CensoredSample, hazard_increments
 
 __all__ = [
     "SmoothedHazard",
     "fit_smoothed_hazard",
-    "smoothed_hazard",
+    "smooth_hr_fit",
     "smooth_hr_ci",
     "cv_bandwidth_hazard",
 ]
-
-
-def _kernel(z):
-    return np.where(np.abs(z) < 1.0, 0.75 * (1.0 - np.asarray(z) ** 2), 0.0)
 
 
 def _kernel_selfconv(t):
@@ -49,12 +46,12 @@ class SmoothedHazard:
     at_risk: np.ndarray
 
     def rate(self, x) -> float:
-        w = _kernel((x - self.event_times) / self.bandwidth) / self.bandwidth
+        w = _epanechnikov((x - self.event_times) / self.bandwidth) / self.bandwidth
         return float(np.sum(w * self.increments))
 
     def variance(self, x) -> float:
         """Plug-in variance of the rate: sum K_h^2 dLambda / Y."""
-        w = _kernel((x - self.event_times) / self.bandwidth) / self.bandwidth
+        w = _epanechnikov((x - self.event_times) / self.bandwidth) / self.bandwidth
         return float(np.sum(w * w * self.increments / self.at_risk))
 
 
@@ -67,17 +64,6 @@ def fit_smoothed_hazard(sample: CensoredSample, arm: int,
                           increments=inc, at_risk=y)
 
 
-def smoothed_hazard(sample: CensoredSample, arm: int, x: float,
-                    h: float) -> float:
-    """Epanechnikov-smoothed hazard rate at x."""
-    sm = fit_smoothed_hazard(sample, arm, h)
-    if not np.any(np.abs(x - sm.event_times) < h):
-        warnings.warn(f"no events within bandwidth window around x={x}; rate is 0",
-                      stacklevel=2)
-        return 0.0
-    return sm.rate(x)
-
-
 def _cv_criterion(times, inc, y, h):
     """Least-squares cross-validation score for one bandwidth.
 
@@ -87,7 +73,7 @@ def _cv_criterion(times, inc, y, h):
     """
     d = (times[None, :] - times[:, None]) / h
     integral = inc @ (_kernel_selfconv(d) / h) @ inc
-    rate_at_events = (_kernel(d) / h) @ inc
+    rate_at_events = (_epanechnikov(d) / h) @ inc
     loo = np.sum(inc * rate_at_events) - (0.75 / h) * np.sum(inc / y)
     return float(integral - 2.0 * loo)
 
@@ -131,20 +117,27 @@ def _default_candidates(times: np.ndarray) -> np.ndarray:
     return np.geomspace(span / times.size, span / 2.0, 20)
 
 
-def smooth_hr_ci(sample: CensoredSample, x: float,
+def smooth_hr_fit(
+        sample: CensoredSample) -> tuple[SmoothedHazard, SmoothedHazard]:
+    """Both arms' smoothed hazards at their CV bandwidths, indexed by arm."""
+    fits = []
+    for arm in (0, 1):
+        times, _, _ = hazard_increments(sample, arm)
+        h = cv_bandwidth_hazard(sample, arm, _default_candidates(times))
+        fits.append(fit_smoothed_hazard(sample, arm, h))
+    return tuple(fits)
+
+
+def smooth_hr_ci(fit: tuple[SmoothedHazard, SmoothedHazard], x: float,
                  alpha: float = 0.05) -> ConfidenceInterval:
     """Smoothed hazard ratio lambda_S(x)/lambda_T(x) with a log-scale interval."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    rates, variances = {}, {}
-    for arm in (0, 1):
-        times, _, _ = hazard_increments(sample, arm)
-        h = cv_bandwidth_hazard(sample, arm, _default_candidates(times))
-        sm = fit_smoothed_hazard(sample, arm, h)
-        rates[arm] = sm.rate(x)
-        variances[arm] = sm.variance(x)
-        if rates[arm] <= 0:
-            raise ValueError(f"zero smoothed hazard in arm {arm} at x={x}")
+    rates = [sm.rate(x) for sm in fit]
+    for sm, rate in zip(fit, rates):
+        if rate <= 0:
+            raise ValueError(f"zero smoothed hazard in arm {sm.arm} at x={x}")
+    variances = [sm.variance(x) for sm in fit]
     estimate = rates[1] / rates[0]
     se_log = math.sqrt(variances[1] / rates[1] ** 2 + variances[0] / rates[0] ** 2)
     z = float(norm.ppf(1.0 - alpha / 2.0))

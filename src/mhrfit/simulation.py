@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
@@ -26,7 +25,7 @@ from scipy.special import fresnel
 
 from .inference import (ChernoffConfig, ChernoffTable, chernoff_table,
                         plugin_ci, split_ci, split_fit)
-from .kernel_baseline import smooth_hr_ci
+from .kernel_baseline import smooth_hr_ci, smooth_hr_fit
 from .mhr_estimator import TruncationPolicy, fit_theta, theta_at
 from .survival_core import CensoredSample
 
@@ -265,7 +264,8 @@ def _run_replication(payload):
 
     Estimates are nan when the point is not estimable for that replication
     (for example beyond the truncation time); interval endpoints are nan
-    when no interval could be formed.
+    when no interval could be formed.  A method that is not built in comes
+    from extra; `run_study` has checked that it is there.
     """
     config, table, rep, extra = payload
     scenario = make_scenario(config.scenario)
@@ -299,20 +299,17 @@ def _run_replication(payload):
                     except ValueError:
                         continue
             elif method == "kernel":
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    for i, x in enumerate(grid):
-                        try:
-                            ci = smooth_hr_ci(sample, x, alpha=config.alpha)
-                            est[i] = ci.estimate
-                            lo[i], hi[i] = ci.lower, ci.upper
-                        except ValueError:
-                            continue
-            elif extra is not None and method in extra:
+                kfit = smooth_hr_fit(sample)
+                for i, x in enumerate(grid):
+                    try:
+                        ci = smooth_hr_ci(kfit, x, alpha=config.alpha)
+                        est[i] = ci.estimate
+                        lo[i], hi[i] = ci.lower, ci.upper
+                    except ValueError:
+                        continue
+            else:
                 for i, x in enumerate(grid):
                     est[i], lo[i], hi[i] = extra[method](sample, x, config.alpha)
-            else:
-                raise ValueError(f"unknown method {method!r}")
         except ValueError:
             pass
         out[method] = (est, lo, hi)

@@ -81,6 +81,7 @@ def test_criterion_02_gcm_matches_exact_oracle():
     assert time.perf_counter() - start < 10.0
 
 
+@pytest.mark.slow
 def test_criterion_03_chernoff_quantile_stability():
     start = time.perf_counter()
     default = chernoff_table(ChernoffConfig())

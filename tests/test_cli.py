@@ -147,9 +147,12 @@ class TestEstimate:
                          "--splits", "50"]) == 3
         assert "reduce m" in capsys.readouterr().err
 
-    def test_bad_rn_flag(self, tmp_path, sample_csv):
+    @pytest.mark.parametrize("flag,value", [
+        ("--rn", "soon"), ("--alpha", "1.5"), ("--alpha", "0"),
+        ("--chernoff-reps", "0"), ("--splits", "1")])
+    def test_bad_flag_exits_2(self, tmp_path, sample_csv, flag, value):
         assert cli.main(["estimate", "--input", str(sample_csv),
-                         "--out", str(tmp_path / "o"), "--rn", "soon"]) == 2
+                         "--out", str(tmp_path / "o"), flag, value]) == 2
 
 
 class TestDiagnose:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mhrfit.kernel_baseline import (cv_bandwidth_hazard, fit_smoothed_hazard,
-                                    smooth_hr_ci, smoothed_hazard,
+                                    smooth_hr_ci, smooth_hr_fit,
                                     _cv_arrays, _cv_criterion,
                                     _default_candidates)
 from mhrfit.survival_core import (CensoredSample, hazard_increments,
@@ -32,21 +32,13 @@ class TestSmoothedHazard:
         t = (times - x) / 0.4
         weights = np.where(np.abs(t) < 1.0, 0.75 * (1.0 - t * t), 0.0) / 0.4
         assert fit.rate(x) == pytest.approx(float(weights @ inc), rel=1e-12)
-        assert smoothed_hazard(s, 0, x, 0.4) == fit.rate(x)
+        assert fit_smoothed_hazard(s, 0, 0.4).rate(x) == fit.rate(x)
 
     def test_bandwidth_validation(self):
         rng = np.random.default_rng(1)
         s = exponential_sample(rng, 20)
         with pytest.raises(ValueError, match="bandwidth must be positive"):
             fit_smoothed_hazard(s, 0, 0.0)
-
-    def test_empty_window_warns_and_returns_zero(self):
-        s = CensoredSample.from_arrays(
-            np.array([1.0, 1.1, 5.0, 5.1]),
-            np.array([1, 1, 1, 1]),
-            np.array([0, 0, 1, 1]))
-        with pytest.warns(UserWarning, match="no events within bandwidth"):
-            assert smoothed_hazard(s, 0, 3.0, 0.5) == 0.0
 
     def test_rate_nonnegative_everywhere(self):
         rng = np.random.default_rng(2)
@@ -66,6 +58,7 @@ class TestSmoothedHazard:
         na = nelson_aalen(s, 0)
         assert integral == pytest.approx(na(1.2) - na(0.3), rel=0.1)
 
+    @pytest.mark.slow
     def test_recovers_constant_hazard(self):
         rng = np.random.default_rng(21)
         n = 5000
@@ -74,7 +67,7 @@ class TestSmoothedHazard:
         s = CensoredSample.from_arrays(times, np.ones(n + 1, dtype=int), arms)
         ev, _, _ = hazard_increments(s, 0)
         h = cv_bandwidth_hazard(s, 0, _default_candidates(ev))
-        assert abs(smoothed_hazard(s, 0, 0.5, h) - 1.0) < 0.15
+        assert abs(fit_smoothed_hazard(s, 0, h).rate(0.5) - 1.0) < 0.15
 
     def test_variance_nonnegative(self):
         rng = np.random.default_rng(4)
@@ -96,6 +89,11 @@ class TestBandwidthSelection:
                            for c in candidates])
         assert any(np.isclose(h, c) for c in candidates)
         assert _cv_criterion(times, inc, y, h) <= scores.min() + 1e-9
+        fit = smooth_hr_fit(s)
+        for arm in (0, 1):
+            arm_ev, _, _ = hazard_increments(s, arm)
+            assert fit[arm].bandwidth == cv_bandwidth_hazard(
+                s, arm, _default_candidates(arm_ev))
 
     def test_ties_take_largest(self):
         rng = np.random.default_rng(9)
@@ -135,7 +133,7 @@ class TestSmoothHrCi:
     def test_estimate_inside_interval(self):
         rng = np.random.default_rng(12)
         s = exponential_sample(rng, 200, rate1=1.5)
-        ci = smooth_hr_ci(s, 0.6, 0.05)
+        ci = smooth_hr_ci(smooth_hr_fit(s), 0.6, 0.05)
         assert ci.method == "kernel"
         assert ci.lower < ci.estimate < ci.upper
         assert ci.lower > 0.0
@@ -144,17 +142,19 @@ class TestSmoothHrCi:
         rng = np.random.default_rng(14)
         s = exponential_sample(rng, 200, rate1=1.5)
         flipped = CensoredSample.from_arrays(s.time, s.status, 1 - s.arm)
-        a = smooth_hr_ci(s, 0.6, 0.05)
-        b = smooth_hr_ci(flipped, 0.6, 0.05)
-        assert b.estimate == pytest.approx(1.0 / a.estimate, rel=1e-12)
-        assert b.lower == pytest.approx(1.0 / a.upper, rel=1e-12)
-        assert b.upper == pytest.approx(1.0 / a.lower, rel=1e-12)
+        fit, flipped_fit = smooth_hr_fit(s), smooth_hr_fit(flipped)
+        for x in (0.3, 0.6, 0.9):
+            a = smooth_hr_ci(fit, x, 0.05)
+            b = smooth_hr_ci(flipped_fit, x, 0.05)
+            assert b.estimate == pytest.approx(1.0 / a.estimate, rel=1e-12)
+            assert b.lower == pytest.approx(1.0 / a.upper, rel=1e-12)
+            assert b.upper == pytest.approx(1.0 / a.lower, rel=1e-12)
 
     def test_alpha_validation(self):
         rng = np.random.default_rng(15)
         s = exponential_sample(rng, 50)
         with pytest.raises(ValueError, match="alpha"):
-            smooth_hr_ci(s, 0.5, 1.0)
+            smooth_hr_ci(smooth_hr_fit(s), 0.5, 1.0)
 
     def test_zero_hazard_refused(self):
         s = CensoredSample.from_arrays(
@@ -162,13 +162,14 @@ class TestSmoothHrCi:
             np.array([1, 1, 1, 1, 1, 1]),
             np.array([0, 0, 0, 1, 1, 1]))
         with pytest.raises(ValueError, match="zero smoothed hazard"):
-            smooth_hr_ci(s, 5.2, 0.05)
+            smooth_hr_ci(smooth_hr_fit(s), 5.2, 0.05)
 
+    @pytest.mark.slow
     def test_identical_arms_cover_unity(self):
         hits = 0
         for rep in range(200):
             rng = np.random.default_rng(1000 + rep)
             s = exponential_sample(rng, 200)
-            ci = smooth_hr_ci(s, 0.7, 0.05)
+            ci = smooth_hr_ci(smooth_hr_fit(s), 0.7, 0.05)
             hits += ci.contains(1.0)
         assert hits >= 180
