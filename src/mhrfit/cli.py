@@ -71,43 +71,49 @@ def _write_manifest(out_dir: str, command: str, args, inputs, outputs) -> None:
         fh.write(manifest.to_json_text())
 
 
-def _read_sample(path: str) -> CensoredSample:
+def _csv_rows(path: str, header: list):
+    """Yield (line number, fields) for each nonblank row under an exact header."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise InputError(str(exc)) from exc
-    times, status, arms = [], [], []
+    empty = True
     with fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
+        first = next(reader, None)
+        if first is None:
             raise InputError(f"{path}: empty file")
-        if [h.strip() for h in header] != ["time", "status", "arm"]:
-            raise InputError(f"{path}: header must be exactly 'time,status,arm'")
+        if [h.strip() for h in first] != header:
+            raise InputError(f"{path}: header must be exactly '{','.join(header)}'")
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
-            if len(row) != 3:
-                raise InputError(f"{path}: line {lineno}: expected 3 fields, "
-                                 f"got {len(row)}")
-            try:
-                t = float(row[0])
-                s = int(row[1])
-                a = int(row[2])
-            except ValueError as exc:
-                raise InputError(f"{path}: line {lineno}: {exc}") from exc
-            if not np.isfinite(t) or t < 0:
-                raise InputError(f"{path}: line {lineno}: time must be a "
-                                 "finite nonnegative number")
-            if s not in (0, 1):
-                raise InputError(f"{path}: line {lineno}: status must be 0 or 1")
-            if a not in (0, 1):
-                raise InputError(f"{path}: line {lineno}: arm must be 0 or 1")
-            times.append(t)
-            status.append(s)
-            arms.append(a)
-    if not times:
+            if len(row) != len(header):
+                raise InputError(f"{path}: line {lineno}: expected "
+                                 f"{len(header)} fields, got {len(row)}")
+            empty = False
+            yield lineno, row
+    if empty:
         raise InputError(f"{path}: no data rows")
+
+
+def _read_sample(path: str) -> CensoredSample:
+    times, status, arms = [], [], []
+    for lineno, row in _csv_rows(path, ["time", "status", "arm"]):
+        try:
+            t, s, a = float(row[0]), int(row[1]), int(row[2])
+        except ValueError as exc:
+            raise InputError(f"{path}: line {lineno}: {exc}") from exc
+        if not np.isfinite(t) or t < 0:
+            raise InputError(f"{path}: line {lineno}: time must be a "
+                             "finite nonnegative number")
+        if s not in (0, 1):
+            raise InputError(f"{path}: line {lineno}: status must be 0 or 1")
+        if a not in (0, 1):
+            raise InputError(f"{path}: line {lineno}: arm must be 0 or 1")
+        times.append(t)
+        status.append(s)
+        arms.append(a)
     try:
         return CensoredSample.from_arrays(np.asarray(times), np.asarray(status),
                                           np.asarray(arms))
@@ -374,32 +380,15 @@ def cmd_simulate(args) -> int:
 
 
 def _read_distribution(path: str) -> DiscreteDistribution:
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise InputError(str(exc)) from exc
     pairs = []
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise InputError(f"{path}: empty file")
-        if [h.strip() for h in header] != ["support", "mass"]:
-            raise InputError(f"{path}: header must be exactly 'support,mass'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 2:
-                raise InputError(f"{path}: line {lineno}: expected 2 fields")
-            try:
-                point = float(row[0])
-                # parse the mass from its decimal text so 0.2 means 1/5
-                mass = Fraction(row[1].strip())
-            except (ValueError, ZeroDivisionError) as exc:
-                raise InputError(f"{path}: line {lineno}: {exc}") from exc
-            pairs.append((point, mass))
-    if not pairs:
-        raise InputError(f"{path}: no data rows")
+    for lineno, row in _csv_rows(path, ["support", "mass"]):
+        try:
+            point = float(row[0])
+            # parse the mass from its decimal text so 0.2 means 1/5
+            mass = Fraction(row[1].strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"{path}: line {lineno}: {exc}") from exc
+        pairs.append((point, mass))
     total = sum(m for _, m in pairs)
     if abs(total - 1) > Fraction(1, 10 ** 9):
         raise InputError(f"{path}: masses sum to {float(total)!r}, not 1 "
@@ -485,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     dia.add_argument("--input", required=True)
     dia.add_argument("--out", default="mhrfit_out")
     dia.add_argument("--rn", default="auto")
-    dia.add_argument("--seed", type=int, default=0)
     dia.set_defaults(func=cmd_diagnose)
 
     sim = sub.add_parser("simulate", help="synthetic-study metrics")
@@ -531,6 +519,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise InputError("--seed must be nonnegative")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

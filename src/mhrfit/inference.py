@@ -23,8 +23,7 @@ from scipy.optimize import isotonic_regression
 from scipy.stats import t as student_t
 
 from .mhr_estimator import MhrFit, TruncationPolicy, fit_theta, theta_at
-from .survival_core import (CensoredSample, generalized_inverse, kaplan_meier,
-                            reverse_kaplan_meier)
+from .survival_core import CensoredSample, kaplan_meier, reverse_kaplan_meier
 
 __all__ = [
     "ChernoffConfig",
@@ -209,28 +208,43 @@ def local_linear_slope(points, u0: float, bandwidth: float) -> float:
     return float(num / den)
 
 
-def _loo_predictions(u: np.ndarray, y: np.ndarray, h: float):
+def _select_bandwidth(candidates, score, tolerance) -> float:
+    """The candidate of least score (inf: infeasible); ties take the largest.
+
+    Scores within tolerance(scores) of the least count as ties.
+    """
+    candidates = np.sort(np.asarray(candidates, dtype=float))
+    if np.any(candidates <= 0):
+        raise ValueError("bandwidths must be positive")
+    scores = np.array([score(h) for h in candidates])
+    if not np.any(np.isfinite(scores)):
+        raise ValueError("all candidates infeasible")
+    best = scores.min()
+    return float(candidates[np.nonzero(scores <= best + tolerance(scores))[0][-1]])
+
+
+def _loo_predictions(d: np.ndarray, same: np.ndarray, y: np.ndarray, h: float):
     """Leave-level-out local-linear predictions at every u_i, or None.
 
-    Each point is predicted with every point sharing its y value held
-    out, not just itself.  With all-distinct responses this is ordinary
-    leave-one-out.  With piecewise-constant responses (slopes read off a
-    convex minorant) plain LOO lets a point be interpolated by its own
-    flat run, which drives the score to favor bandwidths too narrow to
-    see any level change; holding the run out scores real smoothing.
-    Bandwidths whose windows leave some point with fewer than two
-    usable neighbors are infeasible (None).
+    d[i, j] = u_j - u_i; point i is predicted with every j where same[i, j]
+    (y_j == y_i) held out, not just itself.  With all-distinct responses
+    this is ordinary leave-one-out.  With piecewise-constant responses
+    (slopes read off a convex minorant) plain LOO lets a point be
+    interpolated by its own flat run, which drives the score to favor
+    bandwidths too narrow to see any level change; holding the run out
+    scores real smoothing.  Bandwidths whose windows leave some point with
+    fewer than two usable neighbors are infeasible (None).
     """
-    d = u[None, :] - u[:, None]
     w = _epanechnikov(d / h)
-    w[y[None, :] == y[:, None]] = 0.0
+    w[same] = 0.0
     if np.any((w > 0).sum(axis=1) < 2):
         return None
+    wd = w * d
     s0 = w.sum(axis=1)
-    s1 = (w * d).sum(axis=1)
-    s2 = (w * d * d).sum(axis=1)
+    s1 = wd.sum(axis=1)
+    s2 = (wd * d).sum(axis=1)
     t0 = w @ y
-    t1 = (w * d) @ y
+    t1 = wd @ y
     den = s0 * s2 - s1 * s1
     if np.any(den <= 0):
         return None
@@ -240,24 +254,22 @@ def _loo_predictions(u: np.ndarray, y: np.ndarray, h: float):
 def cv_bandwidth(points, candidates) -> float:
     """Leave-one-out cross-validated bandwidth over a candidate grid.
 
-    Ties (within a tiny absolute tolerance, to absorb float noise on
-    exactly-linear data) resolve to the largest bandwidth.
+    Ties within 1e-12 (1 + y.y), which absorbs float noise on exactly-linear
+    data, take the largest.
     """
     pts = np.asarray(points, dtype=float)
     if pts.shape[0] < 3:
         raise ValueError("need at least 3 points for cross validation")
     u, y = pts[:, 0], pts[:, 1]
-    candidates = np.sort(np.asarray(candidates, dtype=float))
-    errors = np.full(candidates.size, np.inf)
-    for i, h in enumerate(candidates):
-        pred = _loo_predictions(u, y, h)
-        if pred is not None:
-            errors[i] = float(np.sum((pred - y) ** 2))
-    if not np.any(np.isfinite(errors)):
-        raise ValueError("all candidates infeasible")
-    tol = 1e-12 * (1.0 + float(np.dot(y, y)))
-    best = errors.min()
-    return float(candidates[np.nonzero(errors <= best + tol)[0][-1]])
+    d = u[None, :] - u[:, None]
+    same = y[None, :] == y[:, None]
+
+    def score(h):
+        pred = _loo_predictions(d, same, y, h)
+        return np.inf if pred is None else float(np.sum((pred - y) ** 2))
+
+    return _select_bandwidth(candidates, score,
+                             lambda _: 1e-12 * (1.0 + float(np.dot(y, y))))
 
 
 @dataclass(frozen=True)
@@ -285,9 +297,11 @@ def _derivative_grid(fit: MhrFit, n: int):
     if m < 9:
         raise ValueError("sample too small for the derivative grid")
     grid = np.linspace(0.0, fit.eta_n, m)
-    g = np.array([theta_at(fit, generalized_inverse(fit.lambda_T_hat, u))
-                  for u in grid])
-    return np.column_stack([grid, g]), m
+    # generalized_inverse(lambda_T_hat, u) for all u <= eta_n = Lambda_T(gamma_n)
+    lam_T = fit.lambda_T_hat
+    idx = np.searchsorted(lam_T.values, grid, side="left")
+    t = np.where(grid <= lam_T.value_at_zero, 0.0, lam_T.knots[idx])
+    return np.column_stack([grid, fit.theta(t)]), m
 
 
 def estimate_tau(fit: MhrFit, sample: CensoredSample, x: float) -> float:

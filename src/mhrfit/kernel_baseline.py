@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .inference import ConfidenceInterval, _epanechnikov
+from .inference import ConfidenceInterval, _epanechnikov, _select_bandwidth
 from .survival_core import CensoredSample, hazard_increments
 
 __all__ = [
@@ -64,14 +64,14 @@ def fit_smoothed_hazard(sample: CensoredSample, arm: int,
                           increments=inc, at_risk=y)
 
 
-def _cv_criterion(times, inc, y, h):
+def _cv_criterion(diff, inc, y, h):
     """Least-squares cross-validation score for one bandwidth.
 
-    integral of the squared estimate (closed form via the kernel
-    self-convolution) minus twice the leave-one-out fit term, where each
-    event subject's own jump share K_h(0)/Y is removed.
+    With diff[i, j] = t_j - t_i: integral of the squared estimate (closed
+    form via the kernel self-convolution) minus twice the leave-one-out fit
+    term, where each event subject's own jump share K_h(0)/Y is removed.
     """
-    d = (times[None, :] - times[:, None]) / h
+    d = diff / h
     integral = inc @ (_kernel_selfconv(d) / h) @ inc
     rate_at_events = (_epanechnikov(d) / h) @ inc
     loo = np.sum(inc * rate_at_events) - (0.75 / h) * np.sum(inc / y)
@@ -79,7 +79,7 @@ def _cv_criterion(times, inc, y, h):
 
 
 def _cv_arrays(sample: CensoredSample, arm: int):
-    """Event table restricted to times with a stable at-risk count.
+    """Pairwise time differences, increments and at-risk counts to score.
 
     Late event times, where few subjects remain, carry increments of
     order 1/Y whose squared contribution swamps the criterion and drags
@@ -88,26 +88,21 @@ def _cv_arrays(sample: CensoredSample, arm: int):
     the well-estimated part of the hazard.
     """
     times, inc, y = hazard_increments(sample, arm)
+    if times.size < 3:
+        raise ValueError("need at least 3 event times for cross validation")
     n_arm = np.count_nonzero(sample.arm == arm)
     keep = y >= max(5.0, math.sqrt(n_arm))
     if np.count_nonzero(keep) >= 3:
-        return times[keep], inc[keep], y[keep]
-    return times, inc, y
+        times, inc, y = times[keep], inc[keep], y[keep]
+    return times[None, :] - times[:, None], inc, y
 
 
 def cv_bandwidth_hazard(sample: CensoredSample, arm: int, candidates) -> float:
     """Bandwidth minimizing the cross-validation score; ties take the largest."""
-    times, _, _ = hazard_increments(sample, arm)
-    if times.size < 3:
-        raise ValueError("need at least 3 event times for cross validation")
-    candidates = np.sort(np.asarray(candidates, dtype=float))
-    if np.any(candidates <= 0):
-        raise ValueError("bandwidths must be positive")
-    times, inc, y = _cv_arrays(sample, arm)
-    scores = np.array([_cv_criterion(times, inc, y, h) for h in candidates])
-    tol = 1e-12 * (1.0 + float(np.abs(scores).max()))
-    best = scores.min()
-    return float(candidates[np.nonzero(scores <= best + tol)[0][-1]])
+    diff, inc, y = _cv_arrays(sample, arm)
+    return _select_bandwidth(
+        candidates, lambda h: _cv_criterion(diff, inc, y, h),
+        lambda scores: 1e-12 * (1.0 + float(np.abs(scores).max())))
 
 
 def _default_candidates(times: np.ndarray) -> np.ndarray:

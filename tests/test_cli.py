@@ -149,7 +149,7 @@ class TestEstimate:
 
     @pytest.mark.parametrize("flag,value", [
         ("--rn", "soon"), ("--alpha", "1.5"), ("--alpha", "0"),
-        ("--chernoff-reps", "0"), ("--splits", "1")])
+        ("--chernoff-reps", "0"), ("--splits", "1"), ("--seed", "-1")])
     def test_bad_flag_exits_2(self, tmp_path, sample_csv, flag, value):
         assert cli.main(["estimate", "--input", str(sample_csv),
                          "--out", str(tmp_path / "o"), flag, value]) == 2
@@ -183,6 +183,12 @@ class TestDiagnose:
         for line in (out / "diagnostic.csv").read_text().strip().split("\n")[1:]:
             _, lam_s, hull = line.split(",")
             assert float(hull) == float(lam_s)
+
+    def test_seed_flag_removed(self, tmp_path, sample_csv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["diagnose", "--input", str(sample_csv),
+                      "--out", str(tmp_path / "o"), "--seed", "1"])
+        assert exc.value.code == 2
 
 
 class TestSimulate:
@@ -233,6 +239,11 @@ class TestSimulate:
                          "--reps", "1", "--out", str(tmp_path / "o")]) == 2
         assert cli.main(["simulate", "--scenario", "linear", "--n", "80",
                          "--reps", "0", "--out", str(tmp_path / "o")]) == 2
+
+    def test_negative_seed(self, tmp_path):
+        assert cli.main(["simulate", "--scenario", "linear", "--n", "80",
+                         "--reps", "1", "--seed", "-1", "--threads", "1",
+                         "--out", str(tmp_path / "o")]) == 2
 
     def test_chernoff_cache_reused(self, tmp_path):
         cache = tmp_path / "tab.json"
@@ -332,6 +343,10 @@ class TestChernoffCommand:
 
     def test_bad_grid_step(self, tmp_path):
         assert cli.main(["chernoff", "--delta", "0",
+                         "--out", str(tmp_path / "t.json")]) == 2
+
+    def test_negative_seed(self, tmp_path):
+        assert cli.main(["chernoff", "--reps", "400", "--seed", "-1",
                          "--out", str(tmp_path / "t.json")]) == 2
 
 

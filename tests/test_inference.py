@@ -10,6 +10,7 @@ import pytest
 from mhrfit.gcm import lower_convex_hull
 from mhrfit.inference import (DEFAULT_PROBABILITIES, ChernoffConfig,
                               ChernoffTable, ConfidenceInterval, SplitFit,
+                              _derivative_grid,
                               chernoff_quantile, chernoff_table, cv_bandwidth,
                               estimate_tau, local_linear_slope, plugin_ci,
                               split_ci, split_fit)
@@ -192,6 +193,13 @@ class TestCvBandwidth:
         with pytest.raises(ValueError, match="all candidates infeasible"):
             cv_bandwidth(pts, [0.1])
 
+    @pytest.mark.parametrize("candidates", [[-0.8], [0.0, 0.5]])
+    def test_candidates_must_be_positive(self, candidates):
+        u = np.linspace(0.0, 1.0, 30)
+        pts = np.column_stack([u, 3.0 * u + 1.0])
+        with pytest.raises(ValueError, match="bandwidths must be positive"):
+            cv_bandwidth(pts, candidates)
+
 
 class TestConfidenceInterval:
     def test_must_contain_estimate(self):
@@ -229,6 +237,7 @@ class TestEstimateTau:
         g = np.array([theta_at(fit, generalized_inverse(fit.lambda_T_hat, u))
                       for u in grid])
         pts = np.column_stack([grid, g])
+        assert np.array_equal(_derivative_grid(fit, linear_sample_800.n)[0], pts)
         h = cv_bandwidth(pts, np.geomspace(4.0 * fit.eta_n / m,
                                            fit.eta_n / 2.0, 20))
         deriv = max(local_linear_slope(pts, fit.lambda_T_hat(x), h), 0.0)

@@ -82,13 +82,13 @@ class TestBandwidthSelection:
         rng = np.random.default_rng(7)
         s = exponential_sample(rng, 150)
         ev, _, _ = hazard_increments(s, 0)
-        times, inc, y = _cv_arrays(s, 0)
+        diff, inc, y = _cv_arrays(s, 0)
         candidates = _default_candidates(ev)
         h = cv_bandwidth_hazard(s, 0, candidates)
-        scores = np.array([_cv_criterion(times, inc, y, c)
+        scores = np.array([_cv_criterion(diff, inc, y, c)
                            for c in candidates])
         assert any(np.isclose(h, c) for c in candidates)
-        assert _cv_criterion(times, inc, y, h) <= scores.min() + 1e-9
+        assert _cv_criterion(diff, inc, y, h) <= scores.min() + 1e-9
         fit = smooth_hr_fit(s)
         for arm in (0, 1):
             arm_ev, _, _ = hazard_increments(s, arm)
