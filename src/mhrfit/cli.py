@@ -18,7 +18,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -30,30 +29,14 @@ from .mhr_estimator import (TruncationPolicy, diagnostic_curve, fit_theta,
                             theta_at)
 from .simulation import StudyConfig, run_study
 from .stochastic_orders import DiscreteDistribution, figure1_suite, order_report
-from .survival_core import CensoredSample
+from .survival_core import CensoredSample, first_invalid_row
 
-__all__ = ["main", "RunManifest", "cmd_estimate", "cmd_diagnose",
+__all__ = ["main", "cmd_estimate", "cmd_diagnose",
            "cmd_simulate", "cmd_order_check", "cmd_chernoff"]
 
 
 class InputError(Exception):
     """User-input problem; maps to exit code 2."""
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    flags: dict
-    seed: int | None
-    inputs: tuple
-    outputs: tuple
-    version: str
-
-    def to_json_text(self) -> str:
-        body = {"command": self.command, "flags": self.flags,
-                "seed": self.seed, "inputs": list(self.inputs),
-                "outputs": list(self.outputs), "version": self.version}
-        return json.dumps(body, indent=2, sort_keys=True) + "\n"
 
 
 def _write_manifest(out_dir: str, command: str, args, inputs, outputs) -> None:
@@ -63,12 +46,11 @@ def _write_manifest(out_dir: str, command: str, args, inputs, outputs) -> None:
             continue
         flags[key] = value if isinstance(value, (int, float, bool, str,
                                                  type(None))) else str(value)
-    manifest = RunManifest(command=command, flags=flags,
-                           seed=getattr(args, "seed", None),
-                           inputs=tuple(inputs), outputs=tuple(outputs),
-                           version=__version__)
+    manifest = {"command": command, "flags": flags,
+                "seed": getattr(args, "seed", None), "inputs": list(inputs),
+                "outputs": list(outputs), "version": __version__}
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        fh.write(manifest.to_json_text())
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _csv_rows(path: str, header: list):
@@ -86,7 +68,9 @@ def _csv_rows(path: str, header: list):
         if [h.strip() for h in first] != header:
             raise InputError(f"{path}: header must be exactly '{','.join(header)}'")
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            # blank when every cell is; a filled first cell settles it
+            if not row or (not row[0].strip()
+                           and all(not cell.strip() for cell in row)):
                 continue
             if len(row) != len(header):
                 raise InputError(f"{path}: line {lineno}: expected "
@@ -98,27 +82,22 @@ def _csv_rows(path: str, header: list):
 
 
 def _read_sample(path: str) -> CensoredSample:
-    times, status, arms = [], [], []
+    """Parse every row, then check the value rules once on the columns."""
+    times, status, arms, linenos = [], [], [], []
     for lineno, row in _csv_rows(path, ["time", "status", "arm"]):
         try:
-            t, s, a = float(row[0]), int(row[1]), int(row[2])
+            times.append(float(row[0]))
+            status.append(int(row[1]))
+            arms.append(int(row[2]))
         except ValueError as exc:
             raise InputError(f"{path}: line {lineno}: {exc}") from exc
-        if not np.isfinite(t) or t < 0:
-            raise InputError(f"{path}: line {lineno}: time must be a "
-                             "finite nonnegative number")
-        if s not in (0, 1):
-            raise InputError(f"{path}: line {lineno}: status must be 0 or 1")
-        if a not in (0, 1):
-            raise InputError(f"{path}: line {lineno}: arm must be 0 or 1")
-        times.append(t)
-        status.append(s)
-        arms.append(a)
-    try:
-        return CensoredSample.from_arrays(np.asarray(times), np.asarray(status),
-                                          np.asarray(arms))
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        linenos.append(lineno)
+    columns = np.asarray(times), np.asarray(status), np.asarray(arms)
+    invalid = first_invalid_row(*columns)
+    if invalid is not None:
+        index, message = invalid
+        raise InputError(f"{path}: line {linenos[index]}: {message}")
+    return CensoredSample.from_arrays(*columns)
 
 
 def _parse_policy(text: str) -> TruncationPolicy:
@@ -173,20 +152,15 @@ def _resolve_threads(value) -> int:
 # output is well-formed XML without a plotting dependency.
 
 def _svg_render(series, width=640, height=420, margin=50.0) -> str:
-    xs = [p[0] for s in series for p in s["points"]]
-    ys = [p[1] for s in series for p in s["points"]]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+    """One polyline per series; each series holds "x" and "y" arrays."""
+    xs = np.concatenate([s["x"] for s in series])
+    ys = np.concatenate([s["y"] for s in series])
+    x0, x1 = float(xs.min()), float(xs.max())
+    y0, y1 = float(ys.min()), float(ys.max())
     if x1 <= x0:
         x1 = x0 + 1.0
     if y1 <= y0:
         y1 = y0 + 1.0
-
-    def sx(x):
-        return margin + (x - x0) / (x1 - x0) * (width - 2 * margin)
-
-    def sy(y):
-        return height - margin - (y - y0) / (y1 - y0) * (height - 2 * margin)
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}" viewBox="0 0 {width} {height}">',
@@ -194,7 +168,10 @@ def _svg_render(series, width=640, height=420, margin=50.0) -> str:
              f'height="{height - 2 * margin}" fill="none" stroke="black" '
              'stroke-width="1"/>']
     for s in series:
-        coords = " ".join(f"{sx(px):.2f},{sy(py):.2f}" for px, py in s["points"])
+        sx = margin + (s["x"] - x0) / (x1 - x0) * (width - 2 * margin)
+        sy = height - margin - (s["y"] - y0) / (y1 - y0) * (height - 2 * margin)
+        coords = " ".join(f"{px:.2f},{py:.2f}"
+                          for px, py in zip(sx.tolist(), sy.tolist()))
         dash = ' stroke-dasharray="6,4"' if s.get("dashed") else ""
         color = s.get("color", "black")
         parts.append(f'<polyline points="{coords}" fill="none" '
@@ -211,21 +188,18 @@ def _svg_render(series, width=640, height=420, margin=50.0) -> str:
 
 
 def _step_points(knots, values, value_at_zero, x_end):
-    pts = [(0.0, value_at_zero)]
-    level = value_at_zero
-    for k, v in zip(knots, values):
-        pts.append((float(k), level))
-        pts.append((float(k), float(v)))
-        level = float(v)
-    if len(knots) == 0 or x_end > knots[-1]:
-        pts.append((float(x_end), level))
-    return pts
+    """(x, y) vertices of the step function drawn from 0, to x_end if later."""
+    xs = np.append(0.0, np.repeat(knots, 2))
+    ys = np.repeat(np.append(value_at_zero, values), 2)
+    if len(knots) and x_end <= knots[-1]:
+        return xs, ys[:-1]
+    return np.append(xs, x_end), ys
 
 
 def _fit_payload(fit) -> dict:
     return {
-        "theta": {"knots": [float(k) for k in fit.theta.knots],
-                  "values": [float(v) for v in fit.theta.values],
+        "theta": {"knots": fit.theta.knots.tolist(),
+                  "values": fit.theta.values.tolist(),
                   "value_at_zero": float(fit.theta.value_at_zero)},
         "gamma_n": float(fit.gamma_n),
         "eta_n": float(fit.eta_n),
@@ -310,10 +284,10 @@ def cmd_estimate(args) -> int:
                                _format_cell(lo), _format_cell(hi),
                                method]) + "\n")
     svg_path = os.path.join(args.out, "theta.svg")
-    series = [{"points": _step_points(fit.theta.knots, fit.theta.values,
-                                      fit.theta.value_at_zero, fit.gamma_n)}]
+    xs, ys = _step_points(fit.theta.knots, fit.theta.values,
+                          fit.theta.value_at_zero, fit.gamma_n)
     with open(svg_path, "w", encoding="utf-8") as fh:
-        fh.write(_svg_render(series))
+        fh.write(_svg_render([{"x": xs, "y": ys}]))
     _write_manifest(args.out, "estimate", args, [args.input],
                     [fit_path, ci_path, svg_path])
     return 0
@@ -334,11 +308,8 @@ def cmd_diagnose(args) -> int:
         for row in zip(u.tolist(), v.tolist(), hull.value_at(u).tolist()):
             fh.write("{!r},{!r},{!r}\n".format(*row))
     svg_path = os.path.join(args.out, "diagnostic.svg")
-    series = [
-        {"points": list(zip(u.tolist(), v.tolist()))},
-        {"points": list(zip(hull.u.tolist(), hull.v.tolist())),
-         "dashed": True, "color": "gray"},
-    ]
+    series = [{"x": u, "y": v},
+              {"x": hull.u, "y": hull.v, "dashed": True, "color": "gray"}]
     with open(svg_path, "w", encoding="utf-8") as fh:
         fh.write(_svg_render(series))
     _write_manifest(args.out, "diagnose", args, [args.input],

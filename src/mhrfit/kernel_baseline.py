@@ -117,9 +117,10 @@ def smooth_hr_fit(
     """Both arms' smoothed hazards at their CV bandwidths, indexed by arm."""
     fits = []
     for arm in (0, 1):
-        times, _, _ = hazard_increments(sample, arm)
+        times, inc, y = hazard_increments(sample, arm)
         h = cv_bandwidth_hazard(sample, arm, _default_candidates(times))
-        fits.append(fit_smoothed_hazard(sample, arm, h))
+        fits.append(SmoothedHazard(arm=arm, bandwidth=h, event_times=times,
+                                   increments=inc, at_risk=y))
     return tuple(fits)
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 __all__ = [
     "CensoredSample",
+    "first_invalid_row",
     "StepFunction",
     "SurvivalCurve",
     "generalized_inverse",
@@ -48,15 +49,11 @@ class CensoredSample:
             raise ValueError("time, status and arm must be 1-d columns of equal length")
         if time.size < 1:
             raise ValueError("sample must contain at least one observation")
-        bad = ~(np.isfinite(time) & (time >= 0))
-        if bad.any():
-            raise ValueError(f"time must be finite and nonnegative, got {time[bad][0]}")
-        columns = {"time": time}
-        for name, col in (("status", status), ("arm", arm)):
-            bad = (col != 0) & (col != 1)
-            if bad.any():
-                raise ValueError(f"{name} must be 0 or 1, got {col[bad][0]}")
-            columns[name] = col.astype(np.int64)
+        invalid = first_invalid_row(time, status, arm)
+        if invalid is not None:
+            raise ValueError(invalid[1])
+        columns = {"time": time, "status": status.astype(np.int64),
+                   "arm": arm.astype(np.int64)}
         for name, col in columns.items():
             col.flags.writeable = False
             object.__setattr__(self, name, col)
@@ -79,6 +76,27 @@ class CensoredSample:
         """(times, status) for one arm, in input order."""
         mask = self.arm == arm
         return self.time[mask], self.status[mask]
+
+
+def first_invalid_row(time, status, arm):
+    """(index, message) for the first row breaking a value rule, else None.
+
+    The rules: time is finite and nonnegative, status and arm are exactly
+    0 or 1.  Rows are taken in order; within a row, time is named first,
+    then status, then arm.  The columns must be 1-d arrays of equal length.
+    """
+    bad_time = ~(np.isfinite(time) & (time >= 0))
+    bad_status = (status != 0) & (status != 1)
+    bad_arm = (arm != 0) & (arm != 1)
+    bad = bad_time | bad_status | bad_arm
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    if bad_time[i]:
+        return i, f"time must be finite and nonnegative, got {time[i]}"
+    if bad_status[i]:
+        return i, f"status must be 0 or 1, got {status[i]}"
+    return i, f"arm must be 0 or 1, got {arm[i]}"
 
 
 def _step_lookup(knots, values, default, t, side):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -12,6 +13,7 @@ import pytest
 
 from mhrfit import cli
 from mhrfit.simulation import generate_dataset, make_scenario
+from mhrfit.survival_core import StepFunction
 
 
 def write_sample_csv(path, n=80, seed=3, scenario="linear"):
@@ -126,12 +128,21 @@ class TestEstimate:
                          "--out", str(tmp_path / "o")]) == 2
         assert "header must be exactly" in capsys.readouterr().err
 
-    def test_malformed_row_reports_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize("row,message", [
+        ("abc,1,0", "could not convert string to float: 'abc'"),
+        ("-1,1,0", "time must be finite and nonnegative, got -1.0"),
+        ("nan,1,0", "time must be finite and nonnegative, got nan"),
+        ("2.0,2,1", "status must be 0 or 1, got 2"),
+        ("2.0,1,1.0", "invalid literal for int() with base 10: '1.0'")],
+        ids=["time-abc", "time-negative", "time-nan", "status-2", "arm-1.0"])
+    def test_malformed_row_reports_line(self, tmp_path, capsys, row, message):
+        # the blank line makes the file line differ from the data index + 2
         bad = tmp_path / "bad.csv"
-        bad.write_text("time,status,arm\n1.0,1,0\n2.0,2,1\n")
+        bad.write_text(f"time,status,arm\n1.0,1,0\n\n{row}\n3.0,0,1\n")
         assert cli.main(["estimate", "--input", str(bad),
                          "--out", str(tmp_path / "o")]) == 2
-        assert "line 3" in capsys.readouterr().err
+        assert capsys.readouterr().err \
+            == f"error: {bad}: line 4: {message}\n"
 
     def test_degenerate_fit_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "degenerate.csv"
@@ -153,6 +164,21 @@ class TestEstimate:
     def test_bad_flag_exits_2(self, tmp_path, sample_csv, flag, value):
         assert cli.main(["estimate", "--input", str(sample_csv),
                          "--out", str(tmp_path / "o"), flag, value]) == 2
+
+
+class TestStepPlot:
+    @pytest.mark.parametrize("x_end,points", [
+        (2.5, "50.00,370.00 201.20,370.00 201.20,282.73 "
+              "460.40,282.73 460.40,50.00 590.00,50.00"),
+        # ending on the last knot adds no flat tail
+        (1.9, "50.00,370.00 248.95,370.00 248.95,282.73 "
+              "590.00,282.73 590.00,50.00")], ids=["tail", "no-tail"])
+    def test_theta_polyline_coordinates(self, x_end, points):
+        theta = StepFunction([0.7, 1.9], [0.3, 1.1], 0.0)
+        xs, ys = cli._step_points(theta.knots, theta.values,
+                                  theta.value_at_zero, x_end)
+        svg = cli._svg_render([{"x": xs, "y": ys}])
+        assert re.findall(r'points="([^"]*)"', svg) == [points]
 
 
 class TestDiagnose:

@@ -38,6 +38,9 @@ class TestCensoredSample:
             CensoredSample.from_arrays([1.0], [0.9], [0])
         with pytest.raises(ValueError, match="arm must be 0 or 1"):
             CensoredSample.from_arrays([1.0], [1], [1.7])
+        # the first invalid row is reported, whichever column breaks later
+        with pytest.raises(ValueError, match="status must be 0 or 1, got 2"):
+            CensoredSample.from_arrays([1.0, -1.0], [2, 1], [0, 0])
 
     def test_sample_requires_observations(self):
         with pytest.raises(ValueError):
