@@ -14,9 +14,10 @@ __version__ = "0.1.0"
 from .gcm import (ConvexMinorantFit, gcm_of_composed_hazards, left_slope_at,
                   lower_convex_hull)
 from .inference import (ChernoffConfig, ChernoffTable, ConfidenceInterval,
-                        SplitFit, chernoff_quantile, chernoff_table,
-                        cv_bandwidth, estimate_tau, local_linear_slope,
-                        plugin_ci, split_ci, split_fit)
+                        PluginScale, SplitFit, chernoff_quantile,
+                        chernoff_table, cv_bandwidth, estimate_tau,
+                        local_linear_slope, plugin_ci, plugin_scale, split_ci,
+                        split_fit)
 from .kernel_baseline import (SmoothedHazard, cv_bandwidth_hazard,
                               fit_smoothed_hazard, smooth_hr_ci,
                               smooth_hr_fit)
@@ -44,8 +45,9 @@ __all__ = [
     "MhrFit", "TruncationPolicy", "fit_theta", "theta_at", "gamma_n",
     "truncation_fraction", "diagnostic_curve",
     "ChernoffConfig", "ChernoffTable", "ConfidenceInterval", "SplitFit",
-    "chernoff_table", "chernoff_quantile", "local_linear_slope",
-    "cv_bandwidth", "estimate_tau", "plugin_ci", "split_fit", "split_ci",
+    "PluginScale", "chernoff_table", "chernoff_quantile", "local_linear_slope",
+    "cv_bandwidth", "plugin_scale", "estimate_tau", "plugin_ci", "split_fit",
+    "split_ci",
     "SmoothedHazard", "fit_smoothed_hazard", "smooth_hr_fit",
     "cv_bandwidth_hazard", "smooth_hr_ci",
     "DiscreteDistribution", "OrderVerdict", "OrderReport", "discrete_hazard",

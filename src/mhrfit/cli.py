@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .inference import (DEFAULT_PROBABILITIES, ChernoffConfig, chernoff_table,
-                        plugin_ci, split_ci, split_fit)
+                        plugin_ci, plugin_scale, split_ci, split_fit)
 from .mhr_estimator import (TruncationPolicy, diagnostic_curve, fit_theta,
                             theta_at)
 from .simulation import StudyConfig, run_study
@@ -231,10 +231,11 @@ def cmd_estimate(args) -> int:
     methods = {"plugin": ("plugin",), "split": ("split",),
                "both": ("plugin", "split")}[args.ci]
 
-    table = None
+    table = scale = None
     if "plugin" in methods:
         config = ChernoffConfig(replications=args.chernoff_reps)
         table = chernoff_table(config, cache_path=args.chernoff_cache)
+        scale = plugin_scale(fit, sample)
     sfit = None
     if "split" in methods:
         try:
@@ -257,7 +258,8 @@ def cmd_estimate(args) -> int:
             elif method == "plugin":
                 estimate = theta_at(fit, x)
                 try:
-                    ci = plugin_ci(fit, sample, x, args.alpha, table)
+                    ci = plugin_ci(fit, sample, x, args.alpha, table,
+                                   scale=scale)
                     lower, upper = ci.lower, ci.upper
                 except ValueError as exc:
                     print(f"warning: no plugin interval at x={x}: {exc}",

@@ -6,7 +6,10 @@ Two routes:
   quantile of the Chernoff distribution (simulated once and cached) and
   tau_n estimates the limiting scale from the fitted curves, with the
   derivative of theta_n on the cumulative-hazard scale obtained by a
-  cross-validated local linear smoother;
+  cross-validated local linear smoother.  The x-free parts of tau_n (the
+  derivative grid, its bandwidth search and the survival curves) are
+  built once per fit by `plugin_scale`; only the local slope and the
+  curve lookups are done per x;
 * sample splitting: average the fits on m random disjoint subsets and form
   a t-interval from their spread.
 """
@@ -23,7 +26,8 @@ from scipy.optimize import isotonic_regression
 from scipy.stats import t as student_t
 
 from .mhr_estimator import MhrFit, TruncationPolicy, fit_theta, theta_at
-from .survival_core import CensoredSample, kaplan_meier, reverse_kaplan_meier
+from .survival_core import (CensoredSample, SurvivalCurve, kaplan_meier,
+                            reverse_kaplan_meier)
 
 __all__ = [
     "ChernoffConfig",
@@ -34,6 +38,8 @@ __all__ = [
     "chernoff_quantile",
     "local_linear_slope",
     "cv_bandwidth",
+    "PluginScale",
+    "plugin_scale",
     "estimate_tau",
     "plugin_ci",
     "split_fit",
@@ -304,50 +310,112 @@ def _derivative_grid(fit: MhrFit, n: int):
     return np.column_stack([grid, fit.theta(t)]), m
 
 
-def estimate_tau(fit: MhrFit, sample: CensoredSample, x: float) -> float:
-    """Plug-in scale tau_n(x) for the plug-in confidence interval.
+@dataclass(frozen=True)
+class PluginScale:
+    """The x-free parts of the plug-in scale tau_n, built once per fit.
 
-    tau^3 = 4 * d/du[theta_n o Lambda_T^-](Lambda_T(x))
-              * [theta/(pi Fbar_S(x) Fbar_U(x-)) +
-                 theta^2/((1-pi) Fbar_T(x) Fbar_V(x-))].
-
-    The derivative is clamped at zero: theta_n is nondecreasing, so a
-    negative cross-validated slope is smoothing noise.
+    ``points`` is theta_n o Lambda_T^- on the derivative grid and
+    ``bandwidth`` its cross-validated smoothing bandwidth (None for an
+    entirely flat fit, whose derivative is zero).  ``survival_S`` and
+    ``survival_T`` are the arms' Kaplan-Meier curves, ``censoring_S`` and
+    ``censoring_T`` their reverse Kaplan-Meier (censoring) curves.
+    ``failure`` holds the message of an x-free error (grid too small,
+    bandwidth search failed); ``tau`` raises it for every x inside the
+    domain.
     """
-    if not 0.0 < x < fit.gamma_n:
-        raise ValueError(f"x must lie strictly inside (0, gamma_n={fit.gamma_n})")
-    points, m = _derivative_grid(fit, sample.n)
-    if np.unique(points[:, 1]).size == 1:
-        # entirely flat fit: zero derivative without a bandwidth search
-        deriv = 0.0
-    else:
-        candidates = np.geomspace(4.0 * fit.eta_n / m, fit.eta_n / 2.0, 20)
-        h = cv_bandwidth(points, candidates)
-        deriv = max(local_linear_slope(points, fit.lambda_T_hat(x), h), 0.0)
-    theta = theta_at(fit, x)
-    pi = sample.pi_n
-    factors = {
-        "pi": pi,
-        "1-pi": 1.0 - pi,
-        "Fbar_S": kaplan_meier(sample, 1)(x),
-        "Fbar_T": kaplan_meier(sample, 0)(x),
-        "Fbar_U": reverse_kaplan_meier(sample, 1).left_limit(x),
-        "Fbar_V": reverse_kaplan_meier(sample, 0).left_limit(x),
-    }
-    for name, value in factors.items():
-        if value <= 0:
-            raise ValueError(f"scale undefined at x: {name} estimate is 0")
-    bracket = (theta / (pi * factors["Fbar_S"] * factors["Fbar_U"])
-               + theta ** 2 / ((1.0 - pi) * factors["Fbar_T"] * factors["Fbar_V"]))
-    return float(np.cbrt(4.0 * deriv * bracket))
+
+    fit: MhrFit
+    points: np.ndarray | None
+    bandwidth: float | None
+    pi_n: float
+    survival_S: SurvivalCurve
+    survival_T: SurvivalCurve
+    censoring_S: SurvivalCurve
+    censoring_T: SurvivalCurve
+    failure: str | None
+
+    def tau(self, x: float) -> float:
+        """Plug-in scale tau_n(x) for the plug-in confidence interval.
+
+        tau^3 = 4 * d/du[theta_n o Lambda_T^-](Lambda_T(x))
+                  * [theta/(pi Fbar_S(x) Fbar_U(x-)) +
+                     theta^2/((1-pi) Fbar_T(x) Fbar_V(x-))].
+
+        The derivative is clamped at zero: theta_n is nondecreasing, so a
+        negative cross-validated slope is smoothing noise.
+        """
+        fit = self.fit
+        if not 0.0 < x < fit.gamma_n:
+            raise ValueError(f"x must lie strictly inside (0, gamma_n={fit.gamma_n})")
+        if self.failure is not None:
+            raise ValueError(self.failure)
+        if self.bandwidth is None:
+            deriv = 0.0
+        else:
+            deriv = max(local_linear_slope(self.points, fit.lambda_T_hat(x),
+                                           self.bandwidth), 0.0)
+        theta = theta_at(fit, x)
+        pi = self.pi_n
+        factors = {
+            "pi": pi,
+            "1-pi": 1.0 - pi,
+            "Fbar_S": self.survival_S(x),
+            "Fbar_T": self.survival_T(x),
+            "Fbar_U": self.censoring_S.left_limit(x),
+            "Fbar_V": self.censoring_T.left_limit(x),
+        }
+        for name, value in factors.items():
+            if value <= 0:
+                raise ValueError(f"scale undefined at x: {name} estimate is 0")
+        bracket = (theta / (pi * factors["Fbar_S"] * factors["Fbar_U"])
+                   + theta ** 2 / ((1.0 - pi) * factors["Fbar_T"] * factors["Fbar_V"]))
+        return float(np.cbrt(4.0 * deriv * bracket))
+
+
+def plugin_scale(fit: MhrFit, sample: CensoredSample) -> PluginScale:
+    """Derivative grid, CV bandwidth and survival curves of tau_n for a fit.
+
+    The bandwidth search runs here, once; an x-free failure is recorded
+    in ``failure`` rather than raised, so that evaluation points outside
+    the domain still get their own message first.
+    """
+    points = bandwidth = failure = None
+    try:
+        points, m = _derivative_grid(fit, sample.n)
+        if np.unique(points[:, 1]).size > 1:
+            candidates = np.geomspace(4.0 * fit.eta_n / m, fit.eta_n / 2.0, 20)
+            bandwidth = cv_bandwidth(points, candidates)
+    except ValueError as exc:
+        failure = str(exc)
+    return PluginScale(fit=fit, points=points, bandwidth=bandwidth,
+                       pi_n=sample.pi_n,
+                       survival_S=kaplan_meier(sample, 1),
+                       survival_T=kaplan_meier(sample, 0),
+                       censoring_S=reverse_kaplan_meier(sample, 1),
+                       censoring_T=reverse_kaplan_meier(sample, 0),
+                       failure=failure)
+
+
+def estimate_tau(fit: MhrFit, sample: CensoredSample, x: float) -> float:
+    """tau_n(x) for one x; use `plugin_scale` to evaluate many."""
+    return plugin_scale(fit, sample).tau(x)
 
 
 def plugin_ci(fit: MhrFit, sample: CensoredSample, x: float, alpha: float,
-              chernoff: ChernoffTable) -> ConfidenceInterval:
-    """theta_n(x) +/- tau_n(x) q_{1-alpha/2} / n^{1/3}."""
+              chernoff: ChernoffTable,
+              scale: PluginScale | None = None) -> ConfidenceInterval:
+    """theta_n(x) +/- tau_n(x) q_{1-alpha/2} / n^{1/3}.
+
+    ``scale`` is ``plugin_scale(fit, sample)``; pass it when evaluating
+    many x on one fit, so the bandwidth search runs once.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    tau = estimate_tau(fit, sample, x)
+    if scale is None:
+        scale = plugin_scale(fit, sample)
+    elif scale.fit is not fit:
+        raise ValueError("scale was built for another fit")
+    tau = scale.tau(x)
     q = chernoff.quantile(1.0 - alpha / 2.0)
     half = float(tau * q / np.cbrt(sample.n))
     estimate = theta_at(fit, x)

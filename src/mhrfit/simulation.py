@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import fresnel
 
 from .inference import (ChernoffConfig, ChernoffTable, chernoff_table,
-                        plugin_ci, split_ci, split_fit)
+                        plugin_ci, plugin_scale, split_ci, split_fit)
 from .kernel_baseline import smooth_hr_ci, smooth_hr_fit
 from .mhr_estimator import TruncationPolicy, fit_theta, theta_at
 from .survival_core import CensoredSample
@@ -280,10 +280,12 @@ def _run_replication(payload):
         try:
             if method == "monotone":
                 fit = fit_theta(sample, policy=config.policy)
+                scale = plugin_scale(fit, sample)
                 for i, x in enumerate(grid):
                     try:
                         est[i] = theta_at(fit, x)
-                        ci = plugin_ci(fit, sample, x, config.alpha, table)
+                        ci = plugin_ci(fit, sample, x, config.alpha, table,
+                                       scale=scale)
                         lo[i], hi[i] = ci.lower, ci.upper
                     except ValueError:
                         continue

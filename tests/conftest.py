@@ -29,6 +29,12 @@ def linear_sample_800():
     return generate_dataset(make_scenario("linear"), 800, 0.5, seed=11)
 
 
+@pytest.fixture(scope="session")
+def infeasible_plugin_sample():
+    """Linear scenario, n=500: every plug-in bandwidth candidate is infeasible."""
+    return generate_dataset(make_scenario("linear"), 500, 0.5, seed=(0, 0))
+
+
 @pytest.fixture()
 def toy_sample():
     """Two events per arm, no censoring; theta_n is identically 1."""

@@ -152,6 +152,26 @@ class TestEstimate:
                          "--out", str(tmp_path / "o")]) == 3
         assert "degenerate" in capsys.readouterr().err
 
+    def test_plugin_search_failure_keeps_estimates(self, tmp_path, capsys):
+        # the pinned sample whose plug-in bandwidth search is infeasible
+        data = write_sample_csv(tmp_path / "infeasible.csv", n=500,
+                                seed=(0, 0))
+        out = tmp_path / "run"
+        assert cli.main(["estimate", "--input", str(data), "--out", str(out),
+                         "--ci", "plugin", "--chernoff-reps", "200",
+                         "--chernoff-cache",
+                         str(tmp_path / "chernoff.json")]) == 0
+        err = capsys.readouterr().err
+        rows = [row.split(",") for row in
+                (out / "ci.csv").read_text().strip().split("\n")[1:]]
+        assert len(rows) == 9
+        for x, est, lo, hi, method in rows:
+            assert method == "plugin"
+            assert est != "" and lo == "" and hi == ""
+            assert (f"warning: no plugin interval at x={float(x)}: "
+                    "all candidates infeasible\n") in err
+        assert err.count("all candidates infeasible") == 9
+
     def test_oversplit_exits_3(self, tmp_path, sample_csv, capsys):
         assert cli.main(["estimate", "--input", str(sample_csv),
                          "--out", str(tmp_path / "o"), "--ci", "split",

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from mhrfit.gcm import lower_convex_hull
+from mhrfit import inference
 from mhrfit.inference import (DEFAULT_PROBABILITIES, ChernoffConfig,
                               ChernoffTable, ConfidenceInterval, SplitFit,
                               _derivative_grid,
                               chernoff_quantile, chernoff_table, cv_bandwidth,
                               estimate_tau, local_linear_slope, plugin_ci,
-                              split_ci, split_fit)
+                              plugin_scale, split_ci, split_fit)
 from mhrfit.mhr_estimator import MhrFit, fit_theta, theta_at
 from mhrfit.survival_core import CensoredSample, StepFunction
 from oracles import tau_bracket_oracle
@@ -306,6 +307,71 @@ class TestPluginCi:
         fit = fit_theta(linear_sample_800)
         with pytest.raises(ValueError):
             plugin_ci(fit, linear_sample_800, 1.0, 0.0, chernoff4000)
+
+
+class TestPluginScale:
+    def test_shared_scale_matches_per_call_scale(self, linear_sample_800,
+                                                  chernoff4000):
+        s = linear_sample_800
+        fit = fit_theta(s)
+        scale = plugin_scale(fit, s)
+        for x in (0.2, 0.5, 1.0, 1.4, 0.9 * fit.gamma_n):
+            shared = plugin_ci(fit, s, x, 0.05, chernoff4000, scale=scale)
+            alone = plugin_ci(fit, s, x, 0.05, chernoff4000)
+            assert shared.lower.hex() == alone.lower.hex()
+            assert shared.upper.hex() == alone.upper.hex()
+            assert scale.tau(x) == estimate_tau(fit, s, x)
+
+    def test_flat_fit_zero_width_with_shared_scale(self, chernoff4000):
+        s = identical_arms_sample()
+        fit = fit_theta(s)
+        scale = plugin_scale(fit, s)
+        assert scale.bandwidth is None and scale.failure is None
+        for x in (0.8, 1.0, 1.5):
+            shared = plugin_ci(fit, s, x, 0.05, chernoff4000, scale=scale)
+            alone = plugin_ci(fit, s, x, 0.05, chernoff4000)
+            assert shared.lower.hex() == alone.lower.hex() == shared.estimate.hex()
+            assert shared.upper.hex() == alone.upper.hex() == shared.estimate.hex()
+
+    def test_one_search_per_scale(self, linear_sample_800, monkeypatch):
+        calls = []
+        search = inference.cv_bandwidth
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "cv_bandwidth", counted)
+        fit = fit_theta(linear_sample_800)
+        scale = plugin_scale(fit, linear_sample_800)
+        assert len(calls) == 1
+        for x in (0.2, 0.6, 1.0, 1.4):
+            scale.tau(x)
+        assert len(calls) == 1
+
+    def test_scale_of_another_fit_refused(self, linear_sample_800,
+                                          chernoff4000):
+        s = linear_sample_800
+        scale = plugin_scale(fit_theta(s), s)
+        with pytest.raises(ValueError, match="another fit"):
+            plugin_ci(fit_theta(s), s, 1.0, 0.05, chernoff4000, scale=scale)
+
+    def test_infeasible_search_is_a_fit_level_failure(
+            self, infeasible_plugin_sample, chernoff4000):
+        s = infeasible_plugin_sample
+        fit = fit_theta(s)
+        scale = plugin_scale(fit, s)
+        assert scale.failure == "all candidates infeasible"
+        assert scale.bandwidth is None
+        for k in range(1, 10):
+            x = fit.gamma_n * k / 10
+            with pytest.raises(ValueError) as excinfo:
+                plugin_ci(fit, s, x, 0.05, chernoff4000, scale=scale)
+            assert str(excinfo.value) == "all candidates infeasible"
+            assert theta_at(fit, x) == fit.theta(x)
+        for x in (0.0, fit.gamma_n):
+            with pytest.raises(ValueError, match="x must lie strictly inside"):
+                plugin_ci(fit, s, x, 0.05, chernoff4000, scale=scale)
 
 
 class TestSplitFit:
