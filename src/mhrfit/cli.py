@@ -243,6 +243,11 @@ def cmd_estimate(args) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
+    intervals = {
+        "plugin": lambda x: plugin_ci(fit, sample, x, args.alpha, table,
+                                      scale=scale),
+        "split": lambda x: split_ci(sfit, x, alpha=args.alpha),
+    }
 
     rows = []
     for method in methods:
@@ -255,21 +260,12 @@ def cmd_estimate(args) -> int:
                           file=sys.stderr)
                     continue
                 estimate = float(fit.theta(fit.gamma_n))
-            elif method == "plugin":
-                estimate = theta_at(fit, x)
-                try:
-                    ci = plugin_ci(fit, sample, x, args.alpha, table,
-                                   scale=scale)
-                    lower, upper = ci.lower, ci.upper
-                except ValueError as exc:
-                    print(f"warning: no plugin interval at x={x}: {exc}",
-                          file=sys.stderr)
             else:
                 try:
-                    ci = split_ci(sfit, x, alpha=args.alpha)
+                    ci = intervals[method](x)
                     estimate, lower, upper = ci.estimate, ci.lower, ci.upper
                 except ValueError as exc:
-                    print(f"warning: no split interval at x={x}: {exc}",
+                    print(f"warning: no {method} interval at x={x}: {exc}",
                           file=sys.stderr)
                     estimate = theta_at(fit, x)
             rows.append((x, estimate, lower, upper, method))
@@ -325,6 +321,8 @@ def cmd_simulate(args) -> int:
     if args.reps < 1:
         raise InputError("--reps must be at least 1")
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+    if not methods:
+        raise InputError("--methods: empty list")
     for m in methods:
         if m not in ("monotone", "split", "kernel"):
             raise InputError(f"unknown method {m!r}")
@@ -406,8 +404,6 @@ def cmd_chernoff(args) -> int:
                                 grid_step=args.delta, seed=args.seed)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    parent = os.path.dirname(os.path.abspath(args.out))
-    os.makedirs(parent, exist_ok=True)
     table = chernoff_table(config, probabilities=probs, cache_path=args.out)
     print(f"table with {len(table.probabilities)} quantiles at {args.out}; "
           f"variance {table.variance:.6f}")

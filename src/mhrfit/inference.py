@@ -26,7 +26,8 @@ from scipy.optimize import isotonic_regression
 from scipy.stats import t as student_t
 
 from .mhr_estimator import MhrFit, TruncationPolicy, fit_theta, theta_at
-from .survival_core import (CensoredSample, SurvivalCurve, kaplan_meier,
+from .survival_core import (CensoredSample, SurvivalCurve,
+                            generalized_inverse, kaplan_meier,
                             reverse_kaplan_meier)
 
 __all__ = [
@@ -35,7 +36,6 @@ __all__ = [
     "ConfidenceInterval",
     "SplitFit",
     "chernoff_table",
-    "chernoff_quantile",
     "local_linear_slope",
     "cv_bandwidth",
     "PluginScale",
@@ -151,6 +151,7 @@ def chernoff_table(config: ChernoffConfig = ChernoffConfig(),
 
 
 def save_table(table: ChernoffTable, path: str | os.PathLike) -> None:
+    """Write the table as JSON, creating the file's directory if needed."""
     payload = {
         "config": asdict(table.config),
         "config_digest": table.config.digest(),
@@ -159,6 +160,7 @@ def save_table(table: ChernoffTable, path: str | os.PathLike) -> None:
         "mean": table.mean,
         "variance": table.variance,
     }
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -180,14 +182,6 @@ def _load_table(path: str | os.PathLike) -> ChernoffTable | None:
         )
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError):
         return None
-
-
-def chernoff_quantile(p: float, config: ChernoffConfig = ChernoffConfig(),
-                      cache_path: str | os.PathLike | None = None) -> float:
-    """Monte Carlo Chernoff quantile at probability p."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
-    return chernoff_table(config, cache_path=cache_path).quantile(p)
 
 
 def _epanechnikov(z: np.ndarray) -> np.ndarray:
@@ -303,10 +297,7 @@ def _derivative_grid(fit: MhrFit, n: int):
     if m < 9:
         raise ValueError("sample too small for the derivative grid")
     grid = np.linspace(0.0, fit.eta_n, m)
-    # generalized_inverse(lambda_T_hat, u) for all u <= eta_n = Lambda_T(gamma_n)
-    lam_T = fit.lambda_T_hat
-    idx = np.searchsorted(lam_T.values, grid, side="left")
-    t = np.where(grid <= lam_T.value_at_zero, 0.0, lam_T.knots[idx])
+    t = generalized_inverse(fit.lambda_T_hat, grid)
     return np.column_stack([grid, fit.theta(t)]), m
 
 
@@ -438,12 +429,6 @@ class SplitFit:
                 f"fewer than m usable splits at x={x}: "
                 f"a split truncates at {min(short)}")
         return [theta_at(f, x) for f in self.fits]
-
-    def pooled_at(self, x: float) -> float:
-        return float(np.mean(self.estimates_at(x)))
-
-    def sd_at(self, x: float) -> float:
-        return float(np.std(self.estimates_at(x), ddof=1))
 
 
 def split_fit(sample: CensoredSample, m: int,

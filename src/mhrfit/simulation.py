@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -33,7 +33,6 @@ __all__ = [
     "Scenario",
     "make_scenario",
     "true_cumulative_hazard",
-    "sample_event_time",
     "sample_censoring",
     "generate_dataset",
     "StudyConfig",
@@ -138,12 +137,6 @@ def _invert_cumulative(cum: Callable, targets: np.ndarray) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def sample_event_time(scenario: Scenario, arm: int, rng: np.random.Generator) -> float:
-    target = rng.exponential()
-    f = scenario.cumulative_control if arm == 0 else scenario.cumulative_treatment
-    return float(_invert_cumulative(f, np.array([target]))[0])
-
-
 def _censoring_quantile(p: np.ndarray) -> np.ndarray:
     """Inverse of the censoring cdf: exponential pieces and atoms at 1 and 2."""
     p = np.asarray(p, dtype=float)
@@ -160,9 +153,7 @@ def _censoring_quantile(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_censoring(rng: np.random.Generator, size=None):
-    if size is None:
-        return float(_censoring_quantile(np.array([1.0 - rng.random()]))[0])
+def sample_censoring(rng: np.random.Generator, size) -> np.ndarray:
     return _censoring_quantile(1.0 - rng.random(size))
 
 
@@ -239,12 +230,10 @@ class StudyMetrics:
     cells: tuple[MetricCell, ...]
 
     def to_csv_text(self) -> str:
-        lines = ["method,x,n,scaled_bias,scaled_var,mse,coverage,n_excluded"]
+        names = [f.name for f in fields(MetricCell)]
+        lines = [",".join(names)]
         for c in self.cells:
-            lines.append(",".join([c.method, repr(c.x), str(c.n),
-                                   repr(c.scaled_bias), repr(c.scaled_var),
-                                   repr(c.mse), repr(c.coverage),
-                                   str(c.n_excluded)]))
+            lines.append(",".join(str(getattr(c, name)) for name in names))
         return "\n".join(lines) + "\n"
 
     def to_json_text(self) -> str:
@@ -253,14 +242,12 @@ class StudyMetrics:
         def clean(v):
             return None if isinstance(v, float) and math.isnan(v) else v
 
-        rows = [{k: clean(getattr(c, k)) for k in
-                 ("method", "x", "n", "scaled_bias", "scaled_var", "mse",
-                  "coverage", "n_excluded")} for c in self.cells]
+        rows = [{k: clean(v) for k, v in asdict(c).items()} for c in self.cells]
         return json.dumps({"cells": rows}, indent=2, sort_keys=True) + "\n"
 
 
 def _run_replication(payload):
-    """Worker for one replication; returns per-method result arrays.
+    """Worker for one replication; maps each method to its result arrays.
 
     Estimates are nan when the point is not estimable for that replication
     (for example beyond the truncation time); interval endpoints are nan
@@ -315,7 +302,7 @@ def _run_replication(payload):
         except ValueError:
             pass
         out[method] = (est, lo, hi)
-    return rep, out
+    return out
 
 
 def run_study(config: StudyConfig, extra_methods=None) -> StudyMetrics:
@@ -334,29 +321,21 @@ def run_study(config: StudyConfig, extra_methods=None) -> StudyMetrics:
         table = chernoff_table(config.chernoff, cache_path=config.chernoff_cache)
     payloads = [(config, table, rep, extra_methods)
                 for rep in range(config.replications)]
-    grid = np.asarray(config.grid, dtype=float)
-    store = {m: (np.full((config.replications, grid.size), np.nan),
-                 np.full((config.replications, grid.size), np.nan),
-                 np.full((config.replications, grid.size), np.nan))
-             for m in config.methods}
     if config.threads > 1:
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            results = pool.map(_run_replication, payloads, chunksize=4)
-            for rep, out in results:
-                for m, (est, lo, hi) in out.items():
-                    store[m][0][rep], store[m][1][rep], store[m][2][rep] = est, lo, hi
+            results = list(pool.map(_run_replication, payloads, chunksize=4))
     else:
-        for payload in payloads:
-            rep, out = _run_replication(payload)
-            for m, (est, lo, hi) in out.items():
-                store[m][0][rep], store[m][1][rep], store[m][2][rep] = est, lo, hi
+        results = [_run_replication(payload) for payload in payloads]
 
+    grid = np.asarray(config.grid, dtype=float)
     scenario = make_scenario(config.scenario)
     truth = np.asarray(scenario.true_theta(grid), dtype=float)
     cells = []
     root_n = float(np.cbrt(config.n))
     for method in config.methods:
-        est, lo, hi = store[method]
+        # rows are replications, in order; columns are grid points
+        est, lo, hi = (np.array(a) for a in
+                       zip(*(out[method] for out in results)))
         for i, x in enumerate(grid):
             truth_i = float(truth[i])
             ok = ~np.isnan(est[:, i])

@@ -153,67 +153,74 @@ class StepFunction:
 
 @dataclass(frozen=True)
 class SurvivalCurve:
-    """Survival function backed by a nondecreasing distribution estimate.
+    """Right-continuous non-increasing survival step function.
 
-    ``distribution`` is the step-function estimate of F; ``survival``
-    holds the survival value on each [knots[j], knots[j+1]).  Evaluation
-    returns the stored survival values themselves rather than
-    1 - distribution(t), so product-limit identities hold bitwise.
+    ``survival`` holds the survival value on each [knots[j], knots[j+1]),
+    and the curve is 1 before the first knot.  Evaluation returns the
+    stored product-limit values themselves, so product-limit identities
+    hold bitwise.
     """
 
-    distribution: StepFunction
+    knots: np.ndarray
     survival: np.ndarray
 
     def __post_init__(self):
+        knots = np.asarray(self.knots, dtype=float)
         survival = np.asarray(self.survival, dtype=float)
-        if survival.shape != self.distribution.knots.shape:
+        if survival.shape != knots.shape:
             raise ValueError("survival values must match the knots")
         if survival.size and np.any(np.diff(survival) > 0):
             raise ValueError("survival values must be non-increasing")
+        object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "survival", survival)
 
     def __call__(self, t):
-        return _step_lookup(self.distribution.knots, self.survival, 1.0, t, "right")
+        return _step_lookup(self.knots, self.survival, 1.0, t, "right")
 
     def left_limit(self, t):
         """Survival just before t."""
-        return _step_lookup(self.distribution.knots, self.survival, 1.0, t, "left")
+        return _step_lookup(self.knots, self.survival, 1.0, t, "left")
 
 
-def generalized_inverse(f: StepFunction, u: float) -> float:
+def generalized_inverse(f: StepFunction, u):
     """Smallest t with f(t) >= u; 0 for u <= f's value at zero.
 
-    The quantile-type inverse inf{t : f(t) >= u}.
+    The quantile-type inverse inf{t : f(t) >= u}, elementwise for an
+    array u; a scalar u gives a float.
     """
-    if u > f.sup:
+    us = np.atleast_1d(np.asarray(u, dtype=float))
+    if np.any(us > f.sup):
         raise ValueError(f"above range: u={u} exceeds sup f={f.sup}")
-    if u <= f.value_at_zero:
-        return 0.0
-    idx = int(np.searchsorted(f.values, u, side="left"))
-    return float(f.knots[idx])
+    t = np.zeros(us.shape)
+    inside = us > f.value_at_zero
+    t[inside] = f.knots[np.searchsorted(f.values, us[inside], side="left")]
+    return float(t[0]) if np.ndim(u) == 0 else t
 
 
-def _event_table(times: np.ndarray, status: np.ndarray):
-    """Distinct event times with event counts and at-risk counts."""
+def _increments(times: np.ndarray, status: np.ndarray, arm: int):
+    """(distinct event times, increments dN/Y, at-risk counts Y) of one arm."""
+    if times.size == 0:
+        raise ValueError(f"empty stratum: no observations in arm {arm}")
     order = np.argsort(times, kind="stable")
     times = times[order]
     status = status[order]
     utimes, first = np.unique(times, return_index=True)
-    n = times.size
     # at risk at u: subjects with observed time >= u
-    at_risk = n - first
+    at_risk = times.size - first
     d = np.add.reduceat(status, first)
     keep = d > 0
-    return utimes[keep], d[keep].astype(float), at_risk[keep].astype(float)
+    y = at_risk[keep].astype(float)
+    return utimes[keep], d[keep].astype(float) / y, y
 
 
 def hazard_increments(sample: CensoredSample, arm: int):
     """(event times, Nelson-Aalen increments dN/Y, at-risk counts) for an arm."""
-    times, status = sample.arm_arrays(arm)
-    if times.size == 0:
-        raise ValueError(f"empty stratum: no observations in arm {arm}")
-    utimes, d, y = _event_table(times, status)
-    return utimes, d / y, y
+    return _increments(*sample.arm_arrays(arm), arm)
+
+
+def _product_limit(times: np.ndarray, status: np.ndarray, arm: int) -> SurvivalCurve:
+    utimes, inc, _ = _increments(times, status, arm)
+    return SurvivalCurve(utimes, np.cumprod(1.0 - inc))
 
 
 def nelson_aalen(sample: CensoredSample, arm: int) -> StepFunction:
@@ -224,12 +231,10 @@ def nelson_aalen(sample: CensoredSample, arm: int) -> StepFunction:
 
 def kaplan_meier(sample: CensoredSample, arm: int) -> SurvivalCurve:
     """Kaplan-Meier survival curve for the event distribution of one arm."""
-    utimes, inc, _ = hazard_increments(sample, arm)
-    surv = np.cumprod(1.0 - inc)
-    return SurvivalCurve(StepFunction(utimes, 1.0 - surv), surv)
+    return _product_limit(*sample.arm_arrays(arm), arm)
 
 
 def reverse_kaplan_meier(sample: CensoredSample, arm: int) -> SurvivalCurve:
     """Kaplan-Meier with the status flipped: the censoring survival curve."""
-    flipped = CensoredSample(sample.time, 1 - sample.status, sample.arm)
-    return kaplan_meier(flipped, arm)
+    times, status = sample.arm_arrays(arm)
+    return _product_limit(times, 1 - status, arm)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from mhrfit import cli
+from mhrfit.mhr_estimator import fit_theta
 from mhrfit.simulation import generate_dataset, make_scenario
 from mhrfit.survival_core import StepFunction
 
@@ -172,6 +173,37 @@ class TestEstimate:
                     "all candidates infeasible\n") in err
         assert err.count("all candidates infeasible") == 9
 
+    def test_split_failure_keeps_estimates(self, tmp_path, capsys):
+        # one of the 20 splits truncates at 0.856, so only x=0.5 has an
+        # interval; the other rows fall back to the full-sample estimate
+        data = write_sample_csv(tmp_path / "short.csv", n=300, seed=(2, 2))
+        fit = fit_theta(generate_dataset(make_scenario("linear"), 300, 0.5,
+                                         seed=(2, 2)))
+        out = tmp_path / "run"
+        assert cli.main(["estimate", "--input", str(data), "--out", str(out),
+                         "--ci", "split", "--splits", "20",
+                         "--grid", "0.5,1.0,1.3,1.45"]) == 0
+        err = capsys.readouterr().err
+        rows = [row.split(",") for row in
+                (out / "ci.csv").read_text().strip().split("\n")[1:]]
+        assert [row[0] for row in rows] == ["0.5", "1.0", "1.3", "1.45"]
+        x, est, lo, hi, method = rows[0]
+        assert method == "split" and float(lo) <= float(est) <= float(hi)
+        for x, est, lo, hi, method in rows[1:]:
+            assert method == "split" and lo == "" and hi == ""
+            assert float(est) == fit.theta(float(x))
+            assert err.count(f"warning: no split interval at x={float(x)}: "
+                             "fewer than m usable splits") == 1
+        assert err.count("warning:") == 3
+
+    def test_chernoff_cache_in_new_directory(self, tmp_path, sample_csv):
+        cache = tmp_path / "nodir" / "tab.json"
+        assert cli.main(["estimate", "--input", str(sample_csv),
+                         "--out", str(tmp_path / "o"), "--ci", "plugin",
+                         "--chernoff-reps", "200",
+                         "--chernoff-cache", str(cache)]) == 0
+        assert json.loads(cache.read_text())["config"]["replications"] == 200
+
     def test_oversplit_exits_3(self, tmp_path, sample_csv, capsys):
         assert cli.main(["estimate", "--input", str(sample_csv),
                          "--out", str(tmp_path / "o"), "--ci", "split",
@@ -280,6 +312,15 @@ class TestSimulate:
                          "--reps", "1", "--methods", "magic",
                          "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("methods", [",", ""])
+    def test_empty_method_list(self, tmp_path, capsys, methods):
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--scenario", "linear", "--n", "80",
+                         "--reps", "1", "--methods", methods,
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --methods: empty list\n"
+        assert not out.exists()
+
     def test_bad_sizes(self, tmp_path):
         assert cli.main(["simulate", "--scenario", "linear", "--n", "1",
                          "--reps", "1", "--out", str(tmp_path / "o")]) == 2
@@ -302,6 +343,15 @@ class TestSimulate:
         assert os.stat(cache).st_mtime_ns == stamp
         assert (tmp_path / "a" / "metrics.csv").read_bytes() \
             == (tmp_path / "b" / "metrics.csv").read_bytes()
+
+    def test_chernoff_cache_in_new_directory(self, tmp_path):
+        cache = tmp_path / "nodir" / "tab.json"
+        assert cli.main(["simulate", "--scenario", "linear", "--n", "80",
+                         "--reps", "1", "--grid", "0.8",
+                         "--methods", "monotone", "--threads", "1",
+                         "--chernoff-reps", "300", "--chernoff-cache",
+                         str(cache), "--out", str(tmp_path / "o")]) == 0
+        assert json.loads(cache.read_text())["config"]["replications"] == 300
 
 
 class TestOrderCheck:

@@ -6,13 +6,13 @@ import os
 
 import numpy as np
 import pytest
+from scipy.stats import t as student_t
 
 from mhrfit.gcm import lower_convex_hull
 from mhrfit import inference
 from mhrfit.inference import (DEFAULT_PROBABILITIES, ChernoffConfig,
                               ChernoffTable, ConfidenceInterval, SplitFit,
-                              _derivative_grid,
-                              chernoff_quantile, chernoff_table, cv_bandwidth,
+                              _derivative_grid, chernoff_table, cv_bandwidth,
                               estimate_tau, local_linear_slope, plugin_ci,
                               plugin_scale, split_ci, split_fit)
 from mhrfit.mhr_estimator import MhrFit, fit_theta, theta_at
@@ -107,11 +107,7 @@ class TestChernoffTable:
         with pytest.raises(ValueError):
             chernoff_table(SMALL_MC, probabilities=(0.0, 0.5))
         with pytest.raises(ValueError):
-            chernoff_quantile(1.5, SMALL_MC)
-
-    def test_quantile_helper_matches_table(self):
-        table = chernoff_table(SMALL_MC)
-        assert chernoff_quantile(0.9, SMALL_MC) == table.quantile(0.9)
+            chernoff_table(SMALL_MC).quantile(1.5)
 
 
 class TestLocalLinearSlope:
@@ -378,9 +374,10 @@ class TestSplitFit:
     def test_pinned_pooled_and_sd(self):
         fits = tuple(constant_theta_fit(v) for v in (1.0, 1.2, 0.8, 1.1, 0.9))
         sf = SplitFit(fits=fits, m=5)
-        assert sf.pooled_at(2.0) == pytest.approx(1.0)
-        assert sf.sd_at(2.0) == pytest.approx(0.1581, abs=5e-5)
         ci = split_ci(sf, 2.0, 0.05)
+        assert ci.estimate == pytest.approx(1.0)
+        sd = (ci.upper - ci.estimate) * math.sqrt(5) / student_t.ppf(0.975, 4)
+        assert sd == pytest.approx(0.1581, abs=5e-5)
         assert ci.lower == pytest.approx(0.804, abs=5e-4)
         assert ci.upper == pytest.approx(1.196, abs=5e-4)
         assert ci.method == "split"
@@ -425,6 +422,6 @@ class TestSplitFit:
     def test_pooled_is_mean_and_interval_centered(self, linear_sample_800):
         sf = split_fit(linear_sample_800, 5, seed=1)
         ests = sf.estimates_at(1.0)
-        assert sf.pooled_at(1.0) == pytest.approx(np.mean(ests))
         ci = split_ci(sf, 1.0, 0.05)
-        assert ci.contains(sf.pooled_at(1.0))
+        assert ci.estimate == pytest.approx(np.mean(ests))
+        assert ci.contains(np.mean(ests))

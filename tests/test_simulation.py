@@ -11,7 +11,7 @@ from scipy import integrate, stats
 from mhrfit.inference import ChernoffConfig
 from mhrfit.simulation import (MetricCell, StudyConfig, StudyMetrics,
                                generate_dataset, make_scenario, run_study,
-                               sample_censoring, sample_event_time,
+                               sample_censoring,
                                true_cumulative_hazard, _cum_base,
                                _invert_cumulative)
 
@@ -21,11 +21,6 @@ SCENARIOS = ("linear", "convex", "concave")
 def true_theta_linear_oracle(sample, x, alpha):
     """Extra-method stub returning the linear-scenario truth exactly."""
     return x, x - 1.0, x + 1.0
-
-
-class _FixedExponential:
-    def exponential(self):
-        return 0.75
 
 
 class TestScenarios:
@@ -97,7 +92,7 @@ class TestInversion:
 
     def test_event_time_at_known_quantile(self):
         sc = make_scenario("linear")
-        t = sample_event_time(sc, 0, _FixedExponential())
+        t = _invert_cumulative(sc.cumulative_control, np.array([0.75]))[0]
         assert t == pytest.approx(1.0, abs=1e-8)
 
 
@@ -121,11 +116,6 @@ class TestCensoring:
         hits = int(np.sum(draws <= 0.5))
         se = math.sqrt(p * (1 - p) * draws.size)
         assert abs(hits - p * draws.size) <= 3 * se
-
-    def test_scalar_draw(self):
-        rng = np.random.default_rng(5)
-        c = sample_censoring(rng)
-        assert isinstance(c, float) and 0.0 < c <= 2.0
 
 
 class TestGenerateDataset:
@@ -247,6 +237,22 @@ class TestRunStudy:
         serial = run_study(StudyConfig(threads=1, **base))
         parallel = run_study(StudyConfig(threads=2, **base))
         assert serial.to_csv_text() == parallel.to_csv_text()
+
+    def test_failed_plugin_interval_keeps_estimate(self):
+        # replication 0 is the infeasible_plugin_sample fixture: no plug-in
+        # interval forms, but every monotone estimate is kept
+        config = StudyConfig(scenario="linear", n=500, replications=1,
+                             seed=0, grid=(0.25, 0.5, 1.0),
+                             methods=("monotone",),
+                             chernoff=ChernoffConfig(replications=300))
+        metrics = run_study(config)
+        assert len(metrics.cells) == 3
+        for cell in metrics.cells:
+            assert cell.n_excluded == 0
+            assert math.isfinite(cell.mse)
+            assert math.isnan(cell.coverage)
+        rows = metrics.to_csv_text().strip().split("\n")[1:]
+        assert [row.split(",")[6] for row in rows] == ["nan"] * 3
 
     def test_unreachable_point_is_excluded(self):
         config = StudyConfig(scenario="linear", n=60, replications=3,

@@ -215,4 +215,4 @@ class TestReverseKaplanMeier:
             a = reverse_kaplan_meier(s, arm)
             b = kaplan_meier(flipped, arm)
             assert np.array_equal(a.survival, b.survival)
-            assert np.array_equal(a.distribution.knots, b.distribution.knots)
+            assert np.array_equal(a.knots, b.knots)
