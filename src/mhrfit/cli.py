@@ -132,6 +132,12 @@ def _resolve_grid(text: str, gamma: float) -> tuple:
     return tuple(sorted(values))
 
 
+def _check_table_path(path, flag: str) -> None:
+    """A Chernoff table path must name a file, not a directory."""
+    if path is not None and os.path.isdir(path):
+        raise InputError(f"{flag}: {path} is a directory, not a table file")
+
+
 def _resolve_threads(value) -> int:
     if value is not None:
         if value < 1:
@@ -220,6 +226,7 @@ def cmd_estimate(args) -> int:
         raise InputError("--splits must be at least 2")
     if args.chernoff_reps < 1:
         raise InputError("--chernoff-reps must be at least 1")
+    _check_table_path(args.chernoff_cache, "--chernoff-cache")
     sample = _read_sample(args.input)
     policy = _parse_policy(args.rn)
     try:
@@ -323,9 +330,12 @@ def cmd_simulate(args) -> int:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     if not methods:
         raise InputError("--methods: empty list")
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in ("monotone", "split", "kernel"):
             raise InputError(f"unknown method {m!r}")
+        if m in methods[:i]:
+            raise InputError(f"--methods: {m!r} repeated")
+    _check_table_path(args.chernoff_cache, "--chernoff-cache")
     grid = _parse_float_list(args.grid, "--grid")
     try:
         config = StudyConfig(scenario=args.scenario, n=args.n,
@@ -392,6 +402,7 @@ def cmd_order_check(args) -> int:
 
 
 def cmd_chernoff(args) -> int:
+    _check_table_path(args.out, "--out")
     if args.probs is None:
         probs = DEFAULT_PROBABILITIES
     else:

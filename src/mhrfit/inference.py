@@ -9,7 +9,10 @@ Two routes:
   cross-validated local linear smoother.  The x-free parts of tau_n (the
   derivative grid, its bandwidth search and the survival curves) are
   built once per fit by `plugin_scale`; only the local slope and the
-  curve lookups are done per x;
+  curve lookups are done per x.  The bandwidth search sums its
+  leave-level-out scores over compact-support windows of the sorted grid,
+  in row blocks, so it holds O(block * m) numbers for m grid points
+  (`_windows` is shared with the kernel baseline's search);
 * sample splitting: average the fits on m random disjoint subsets and form
   a t-interval from their spread.
 """
@@ -132,6 +135,8 @@ def chernoff_table(config: ChernoffConfig = ChernoffConfig(),
         raise ValueError("probabilities must lie in (0, 1)")
     if list(probabilities) != sorted(probabilities):
         raise ValueError("probabilities must be sorted")
+    if cache_path is not None and os.path.isdir(cache_path):
+        raise ValueError(f"cache path {cache_path} is a directory")
     if cache_path is not None and os.path.exists(cache_path):
         table = _load_table(cache_path)
         if (table is not None and table.config == config
@@ -185,7 +190,16 @@ def _load_table(path: str | os.PathLike) -> ChernoffTable | None:
 
 
 def _epanechnikov(z: np.ndarray) -> np.ndarray:
-    return np.where(np.abs(z) < 1.0, 0.75 * (1.0 - z * z), 0.0)
+    """0.75 (1 - z^2) on |z| < 1 and 0 elsewhere, written over z.
+
+    Callers pass a temporary such as d / h.  For |z| >= 1, z*z >= 1 after
+    rounding, so the clip at 0 gives the strict support without a
+    comparison.
+    """
+    np.multiply(z, z, out=z)
+    np.subtract(1.0, z, out=z)
+    z *= 0.75
+    return np.maximum(z, 0.0, out=z)
 
 
 def local_linear_slope(points, u0: float, bandwidth: float) -> float:
@@ -211,44 +225,93 @@ def local_linear_slope(points, u0: float, bandwidth: float) -> float:
 def _select_bandwidth(candidates, score, tolerance) -> float:
     """The candidate of least score (inf: infeasible); ties take the largest.
 
+    ``score`` maps the sorted candidate array to one score per candidate.
     Scores within tolerance(scores) of the least count as ties.
     """
     candidates = np.sort(np.asarray(candidates, dtype=float))
     if np.any(candidates <= 0):
         raise ValueError("bandwidths must be positive")
-    scores = np.array([score(h) for h in candidates])
+    scores = np.asarray(score(candidates), dtype=float)
     if not np.any(np.isfinite(scores)):
         raise ValueError("all candidates infeasible")
     best = scores.min()
     return float(candidates[np.nonzero(scores <= best + tolerance(scores))[0][-1]])
 
 
-def _loo_predictions(d: np.ndarray, same: np.ndarray, y: np.ndarray, h: float):
-    """Leave-level-out local-linear predictions at every u_i, or None.
+# Rows per block of the windowed CV engine: each block holds at most
+# _BLOCK x len(x) differences, whatever the bandwidth.
+_BLOCK = 64
+# Widening of every window, relative to reach + max|x|, that covers the
+# rounding of x_j - x_i, of its ratio to h and of the window bounds.
+_SLACK = 8.0 * np.finfo(float).eps
 
-    d[i, j] = u_j - u_i; point i is predicted with every j where same[i, j]
-    (y_j == y_i) held out, not just itself.  With all-distinct responses
-    this is ordinary leave-one-out.  With piecewise-constant responses
-    (slopes read off a convex minorant) plain LOO lets a point be
-    interpolated by its own flat run, which drives the score to favor
-    bandwidths too narrow to see any level change; holding the run out
-    scores real smoothing.  Bandwidths whose windows leave some point with
-    fewer than two usable neighbors are infeasible (None).
+
+def _windows(x: np.ndarray, reaches: np.ndarray):
+    """Row blocks of sorted x, each with the columns its kernels can reach.
+
+    For each block of up to _BLOCK rows, yields (rows, cols, d, spans):
+    d[i, j] = x[cols][j] - x[rows][i] over the block's widest window, and
+    spans[k] is the slice of d's columns within reaches[k] of some row of
+    the block (both window ends from ``np.searchsorted``).  The windows are
+    widened by a rounding slack, so a compactly supported kernel evaluated
+    on d sees every pair it sees on the full pairwise matrix, and its own
+    support test decides membership.  Memory is O(_BLOCK * len(x)).
     """
-    w = _epanechnikov(d / h)
-    w[same] = 0.0
-    if np.any((w > 0).sum(axis=1) < 2):
-        return None
-    wd = w * d
-    s0 = w.sum(axis=1)
-    s1 = wd.sum(axis=1)
-    s2 = (wd * d).sum(axis=1)
-    t0 = w @ y
-    t1 = wd @ y
-    den = s0 * s2 - s1 * s1
-    if np.any(den <= 0):
-        return None
-    return (s2 * t0 - s1 * t1) / den
+    pad = reaches + _SLACK * (reaches + float(np.abs(x).max()))
+    starts = np.arange(0, x.size, _BLOCK)
+    stops = np.minimum(starts + _BLOCK, x.size)
+    lo = np.searchsorted(x, x[starts] - pad[:, None], "left")
+    hi = np.searchsorted(x, x[stops - 1] + pad[:, None], "right")
+    for b, (i0, i1) in enumerate(zip(starts.tolist(), stops.tolist())):
+        first, last = int(lo[:, b].min()), int(hi[:, b].max())
+        spans = [slice(a - first, z - first)
+                 for a, z in zip(lo[:, b].tolist(), hi[:, b].tolist())]
+        yield (slice(i0, i1), slice(first, last),
+               x[first:last] - x[i0:i1, None], spans)
+
+
+def _loo_predictions(u: np.ndarray, y: np.ndarray, bandwidths: np.ndarray):
+    """Leave-level-out local-linear predictions at every u_i, per bandwidth.
+
+    u is sorted.  Row k of the result predicts every point at
+    bandwidths[k], or is nan when that bandwidth is infeasible.  Point i is
+    predicted with every j where y_j == y_i held out, not just itself.
+    With all-distinct responses this is ordinary leave-one-out.  With
+    piecewise-constant responses (slopes read off a convex minorant) plain
+    LOO lets a point be interpolated by its own flat run, which drives the
+    score to favor bandwidths too narrow to see any level change; holding
+    the run out scores real smoothing.  Bandwidths whose windows leave some
+    point with fewer than two usable neighbors are infeasible.  The five
+    row sums are taken over each block's window; the block's differences
+    and held-out mask are formed once for every bandwidth.
+    """
+    pred = np.full((bandwidths.size, u.size), np.nan)
+    feasible = np.ones(bandwidths.size, dtype=bool)
+    for rows, cols, d, spans in _windows(u, bandwidths):
+        y_cols = y[cols]
+        held_out = y_cols == y[rows, None]
+        for k, (h, span) in enumerate(zip(bandwidths.tolist(), spans)):
+            if not feasible[k]:
+                continue
+            dk = d[:, span]
+            w = _epanechnikov(dk / h)
+            np.putmask(w, held_out[:, span], 0.0)
+            if (w > 0).sum(axis=1).min() < 2:
+                feasible[k] = False
+                continue
+            wd = w * dk
+            s0 = w.sum(axis=1)
+            s1 = wd.sum(axis=1)
+            s2 = (wd * dk).sum(axis=1)
+            t0 = w @ y_cols[span]
+            t1 = wd @ y_cols[span]
+            den = s0 * s2 - s1 * s1
+            if den.min() <= 0:
+                feasible[k] = False
+                continue
+            pred[k, rows] = (s2 * t0 - s1 * t1) / den
+    pred[~feasible] = np.nan
+    return pred
 
 
 def cv_bandwidth(points, candidates) -> float:
@@ -260,15 +323,14 @@ def cv_bandwidth(points, candidates) -> float:
     pts = np.asarray(points, dtype=float)
     if pts.shape[0] < 3:
         raise ValueError("need at least 3 points for cross validation")
-    u, y = pts[:, 0], pts[:, 1]
-    d = u[None, :] - u[:, None]
-    same = y[None, :] == y[:, None]
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    u, y = pts[order, 0], pts[order, 1]
 
-    def score(h):
-        pred = _loo_predictions(d, same, y, h)
-        return np.inf if pred is None else float(np.sum((pred - y) ** 2))
+    def scores(bandwidths):
+        sums = ((_loo_predictions(u, y, bandwidths) - y) ** 2).sum(axis=1)
+        return np.where(np.isnan(sums), np.inf, sums)
 
-    return _select_bandwidth(candidates, score,
+    return _select_bandwidth(candidates, scores,
                              lambda _: 1e-12 * (1.0 + float(np.dot(y, y))))
 
 

@@ -313,9 +313,11 @@ def run_study(config: StudyConfig, extra_methods=None) -> StudyMetrics:
     must be picklable module-level functions.
     """
     known = {"monotone", "split", "kernel"} | set(extra_methods or {})
-    for method in config.methods:
+    for i, method in enumerate(config.methods):
         if method not in known:
             raise ValueError(f"unknown method {method!r}")
+        if method in config.methods[:i]:
+            raise ValueError(f"method {method!r} repeated")
     table = None
     if "monotone" in config.methods:
         table = chernoff_table(config.chernoff, cache_path=config.chernoff_cache)

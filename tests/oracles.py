@@ -173,6 +173,44 @@ def tau_bracket_oracle(sample, x, theta):
 
 
 # ---------------------------------------------------------------------------
+# Cross-validation scores on full pairwise matrices, as the library scored
+# them before it summed over compact-support windows.
+
+
+def dense_hazard_cv_score(times, inc, y, h):
+    """LSCV score of a kernel-smoothed hazard from the E x E matrices."""
+    d = (times[None, :] - times[:, None]) / h
+    a = np.abs(d)
+    selfconv = np.where(a <= 2.0, (3.0 / 160.0) * (2.0 - a) ** 3
+                        * (a * a + 6.0 * a + 4.0), 0.0)
+    kernel = np.where(a < 1.0, 0.75 * (1.0 - d * d), 0.0)
+    integral = inc @ (selfconv / h) @ inc
+    rate_at_events = (kernel / h) @ inc
+    loo = np.sum(inc * rate_at_events) - (0.75 / h) * np.sum(inc / y)
+    return float(integral - 2.0 * loo)
+
+
+def dense_loo_predictions(u, y, h):
+    """Leave-level-out local-linear predictions from the m x m matrices.
+
+    None when some point has fewer than two usable neighbors or a
+    degenerate design.
+    """
+    d = u[None, :] - u[:, None]
+    w = np.where(np.abs(d / h) < 1.0, 0.75 * (1.0 - (d / h) ** 2), 0.0)
+    w[y[None, :] == y[:, None]] = 0.0
+    if np.any((w > 0).sum(axis=1) < 2):
+        return None
+    wd = w * d
+    s0, s1, s2 = w.sum(axis=1), wd.sum(axis=1), (wd * d).sum(axis=1)
+    t0, t1 = w @ y, wd @ y
+    den = s0 * s2 - s1 * s1
+    if np.any(den <= 0):
+        return None
+    return (s2 * t0 - s1 * t1) / den
+
+
+# ---------------------------------------------------------------------------
 # Random discrete distributions with exact rational masses.
 
 

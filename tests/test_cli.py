@@ -11,7 +11,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from mhrfit import cli
+from mhrfit import cli, inference
 from mhrfit.mhr_estimator import fit_theta
 from mhrfit.simulation import generate_dataset, make_scenario
 from mhrfit.survival_core import StepFunction
@@ -321,6 +321,18 @@ class TestSimulate:
         assert capsys.readouterr().err == "error: --methods: empty list\n"
         assert not out.exists()
 
+    def test_repeated_method(self, tmp_path, capsys, monkeypatch):
+        def no_study(config):
+            raise AssertionError("study ran")
+
+        monkeypatch.setattr(cli, "run_study", no_study)
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--scenario", "linear", "--n", "80",
+                         "--reps", "1", "--methods", "split,kernel,split",
+                         "--threads", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --methods: 'split' repeated\n"
+        assert not out.exists()
+
     def test_bad_sizes(self, tmp_path):
         assert cli.main(["simulate", "--scenario", "linear", "--n", "1",
                          "--reps", "1", "--out", str(tmp_path / "o")]) == 2
@@ -444,6 +456,32 @@ class TestChernoffCommand:
     def test_negative_seed(self, tmp_path):
         assert cli.main(["chernoff", "--reps", "400", "--seed", "-1",
                          "--out", str(tmp_path / "t.json")]) == 2
+
+
+@pytest.mark.parametrize("command", ["chernoff", "estimate", "simulate"])
+def test_table_path_that_is_a_directory(tmp_path, sample_csv, capsys,
+                                        monkeypatch, command):
+    def no_simulation(config):
+        raise AssertionError("Monte Carlo ran")
+
+    monkeypatch.setattr(inference, "_simulate_chernoff", no_simulation)
+    table_dir = tmp_path / "tables"
+    table_dir.mkdir()
+    out = tmp_path / "o"
+    argv, flag = {
+        "chernoff": (["chernoff", "--reps", "400", "--out", str(table_dir)],
+                     "--out"),
+        "estimate": (["estimate", "--input", str(sample_csv), "--out", str(out),
+                      "--chernoff-cache", str(table_dir)], "--chernoff-cache"),
+        "simulate": (["simulate", "--scenario", "linear", "--n", "80",
+                      "--reps", "1", "--threads", "1", "--out", str(out),
+                      "--chernoff-cache", str(table_dir)], "--chernoff-cache"),
+    }[command]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {flag}: {table_dir} is a directory, not a table file\n")
+    assert not out.exists()
+    assert list(table_dir.iterdir()) == []
 
 
 class TestThreadResolution:

@@ -101,6 +101,15 @@ class TestChernoffTable:
                                cache_path=path)
         assert other.config.replications == 500
 
+    def test_directory_cache_refused_before_simulating(self, tmp_path,
+                                                       monkeypatch):
+        def no_simulation(config):
+            raise AssertionError("Monte Carlo ran")
+
+        monkeypatch.setattr(inference, "_simulate_chernoff", no_simulation)
+        with pytest.raises(ValueError, match="is a directory"):
+            chernoff_table(SMALL_MC, cache_path=tmp_path)
+
     def test_probability_validation(self):
         with pytest.raises(ValueError):
             chernoff_table(SMALL_MC, probabilities=(0.5, 0.2))

@@ -198,6 +198,12 @@ class TestRunStudy:
         with pytest.raises(ValueError, match="unknown method"):
             run_study(config)
 
+    def test_repeated_method(self):
+        config = StudyConfig(scenario="linear", n=100, replications=1,
+                             grid=(1.0,), methods=("split", "kernel", "split"))
+        with pytest.raises(ValueError, match="method 'split' repeated"):
+            run_study(config)
+
     def test_shapes_and_ranges(self):
         config = StudyConfig(scenario="linear", n=150, replications=2,
                              grid=(0.8, 1.2), seed=3,
