@@ -146,10 +146,13 @@ def _resolve_threads(value) -> int:
     env = os.environ.get("THREADS")
     if env:
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError as exc:
             raise InputError("THREADS environment variable must be an "
                              "integer") from exc
+        if threads < 1:
+            raise InputError("THREADS environment variable must be at least 1")
+        return threads
     return os.cpu_count() or 1
 
 

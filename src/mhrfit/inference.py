@@ -14,7 +14,13 @@ Two routes:
   in row blocks, so it holds O(block * m) numbers for m grid points
   (`_windows` is shared with the kernel baseline's search);
 * sample splitting: average the fits on m random disjoint subsets and form
-  a t-interval from their spread.
+  a t-interval from their spread, with the t quantile from
+  `scipy.special.stdtrit`.
+
+Only `scipy.special` is imported at module level.  The Monte Carlo for the
+Chernoff table imports `scipy.optimize.isotonic_regression` when it runs,
+so a call that reads a cached table, or needs none, never loads
+`scipy.optimize`.
 """
 from __future__ import annotations
 
@@ -25,8 +31,7 @@ import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import isotonic_regression
-from scipy.stats import t as student_t
+from scipy.special import stdtrit
 
 from .mhr_estimator import MhrFit, TruncationPolicy, fit_theta, theta_at
 from .survival_core import (CensoredSample, SurvivalCurve,
@@ -108,6 +113,8 @@ def _simulate_chernoff(config: ChernoffConfig) -> np.ndarray:
     t = (np.arange(n_grid) - i0) * config.grid_step
     parabola = t * t
     sqrt_step = math.sqrt(config.grid_step)
+    # Imported here so that only a cold table pays for scipy.optimize.
+    from scipy.optimize import isotonic_regression
     draws = np.empty(config.replications)
     for rep in range(config.replications):
         rng = np.random.Generator(
@@ -519,7 +526,7 @@ def split_ci(splitfit: SplitFit, x: float, alpha: float) -> ConfidenceInterval:
     estimates = splitfit.estimates_at(x)
     pooled = float(np.mean(estimates))
     sd = float(np.std(estimates, ddof=1))
-    tq = float(student_t.ppf(1.0 - alpha / 2.0, splitfit.m - 1))
+    tq = float(stdtrit(splitfit.m - 1, 1.0 - alpha / 2.0))
     half = tq * sd / math.sqrt(splitfit.m)
     return ConfidenceInterval(x=x, estimate=pooled, lower=pooled - half,
                               upper=pooled + half, level=1.0 - alpha,

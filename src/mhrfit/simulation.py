@@ -110,7 +110,7 @@ def make_scenario(name: str) -> Scenario:
 
 def true_cumulative_hazard(scenario: Scenario, arm: int, x) -> np.ndarray:
     if arm not in (0, 1):
-        raise ValueError("arm must be 0 or 1")
+        raise ValueError(f"arm must be 0 (control) or 1 (treatment), got {arm!r}")
     if np.any(np.asarray(x) < 0):
         raise ValueError("x must be nonnegative")
     f = scenario.cumulative_control if arm == 0 else scenario.cumulative_treatment

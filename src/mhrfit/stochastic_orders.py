@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "DiscreteDistribution",
@@ -238,6 +237,7 @@ def parametric_hazard_ratio(family: str, params_s, params_t, grid) -> np.ndarray
             raise ValueError("beta parameters must be positive")
         if np.any((grid <= 0) | (grid >= 1)):
             raise ValueError("beta grid must lie strictly inside (0, 1)")
+        from scipy import stats
         lam_s = stats.beta.pdf(grid, a_s, b_s) / stats.beta.sf(grid, a_s, b_s)
         lam_t = stats.beta.pdf(grid, a_t, b_t) / stats.beta.sf(grid, a_t, b_t)
         return lam_s / lam_t
@@ -254,6 +254,7 @@ def figure1_suite() -> list:
     decreasing hazard ratio, and a five-point discrete pair ordered in
     likelihood ratio whose hazard ratio dips before its final rise.
     """
+    from scipy import stats
     entries = []
 
     grid = np.linspace(0.05, 5.0, 200)

@@ -498,6 +498,13 @@ class TestThreadResolution:
         with pytest.raises(cli.InputError):
             cli._resolve_threads(None)
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_env_below_one(self, monkeypatch, value):
+        monkeypatch.setenv("THREADS", value)
+        with pytest.raises(cli.InputError,
+                           match="THREADS environment variable must be at least 1"):
+            cli._resolve_threads(None)
+
     def test_bad_explicit(self):
         with pytest.raises(cli.InputError):
             cli._resolve_threads(0)

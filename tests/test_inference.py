@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.special import stdtrit
 from scipy.stats import t as student_t
 
 from mhrfit.gcm import lower_convex_hull
@@ -390,6 +391,13 @@ class TestSplitFit:
         assert ci.lower == pytest.approx(0.804, abs=5e-4)
         assert ci.upper == pytest.approx(1.196, abs=5e-4)
         assert ci.method == "split"
+
+    def test_t_quantile_matches_scipy_stats(self):
+        # split_ci takes its quantile from scipy.special, not scipy.stats;
+        # the two must agree bit for bit so intervals do not move.
+        df = np.arange(1, 101, dtype=float)[:, None]
+        p = np.asarray(DEFAULT_PROBABILITIES)[None, :]
+        assert np.array_equal(stdtrit(df, p), student_t.ppf(p, df))
 
     def test_identical_splits_zero_width(self):
         sf = SplitFit(fits=(constant_theta_fit(1.3),) * 5, m=5)

@@ -3,7 +3,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
+from scipy.stats import norm
 
+from mhrfit.inference import DEFAULT_PROBABILITIES
 from mhrfit.kernel_baseline import (cv_bandwidth_hazard, fit_smoothed_hazard,
                                     smooth_hr_ci, smooth_hr_fit,
                                     _cv_arrays, _cv_criterion,
@@ -148,6 +151,13 @@ class TestSmoothHrCi:
             assert b.estimate == pytest.approx(1.0 / a.estimate, rel=1e-12)
             assert b.lower == pytest.approx(1.0 / a.upper, rel=1e-12)
             assert b.upper == pytest.approx(1.0 / a.lower, rel=1e-12)
+
+    def test_normal_quantile_matches_scipy_stats(self):
+        # smooth_hr_ci takes its quantile from scipy.special, not
+        # scipy.stats; the two must agree bit for bit.
+        p = np.concatenate([DEFAULT_PROBABILITIES,
+                            1.0 - np.linspace(0.0005, 0.9995, 2000) / 2.0])
+        assert np.array_equal(ndtri(p), norm.ppf(p))
 
     def test_alpha_validation(self):
         rng = np.random.default_rng(15)

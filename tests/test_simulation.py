@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -74,7 +75,8 @@ class TestScenarios:
 
     def test_argument_validation(self):
         sc = make_scenario("linear")
-        with pytest.raises(ValueError, match="arm"):
+        with pytest.raises(ValueError, match=re.escape(
+                "arm must be 0 (control) or 1 (treatment), got 2")):
             true_cumulative_hazard(sc, 2, 1.0)
         with pytest.raises(ValueError, match="nonnegative"):
             true_cumulative_hazard(sc, 0, -0.5)
