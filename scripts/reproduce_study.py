@@ -1,24 +1,23 @@
 #!/usr/bin/env python3
 """Desk-scale interval study across the built-in hazard scenarios.
 
-For each requested scenario this draws synthetic two-arm right-censored
-datasets, estimates the hazard ratio at each grid point with each
-requested method, and reports cube-root scaled bias and variance plus
-interval coverage.  One metrics CSV and one JSON file are written per
-scenario, along with a manifest of the resolved settings.  Defaults
-finish in minutes on a workstation; raise --reps and --n to shrink the
-Monte Carlo error.
+For each requested scenario this runs `mhrfit simulate`, which draws
+synthetic two-arm right-censored datasets, estimates the hazard ratio at
+each grid point with each requested method, and reports cube-root scaled
+bias and variance plus interval coverage.  Each scenario's
+metrics.csv, metrics.json and manifest.json go to <out>/<scenario>/, and
+the scenarios share one Chernoff table cached at
+<out>/chernoff_cache.json.  Defaults finish in minutes on a workstation;
+raise --reps and --n to shrink the Monte Carlo error.
 """
 from __future__ import annotations
 
 import argparse
-import json
+import csv
 import os
-import sys
 import time
 
-from mhrfit.inference import ChernoffConfig
-from mhrfit.simulation import StudyConfig, run_study
+from mhrfit import cli
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -46,65 +45,39 @@ def parse_args(argv=None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def run_one(args: argparse.Namespace, scenario: str, cache: str):
-    config = StudyConfig(
-        scenario=scenario,
-        n=args.n,
-        replications=args.reps,
-        grid=tuple(float(t) for t in args.grid.split(",")),
-        alpha=args.alpha,
-        methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
-        seed=args.seed,
-        threads=args.threads,
-        chernoff=ChernoffConfig(replications=args.chernoff_reps),
-        chernoff_cache=cache,
-    )
-    started = time.perf_counter()
-    metrics = run_study(config)
-    return metrics, time.perf_counter() - started
-
-
-def print_table(scenario: str, metrics, elapsed: float, args) -> None:
+def print_table(scenario: str, csv_path: str, elapsed: float, args) -> None:
     print(f"\n{scenario}  (n={args.n}, reps={args.reps}, "
           f"alpha={args.alpha}, {elapsed:.1f}s)")
-    header = (f"  {'method':<10}{'x':>6}{'coverage':>10}"
-              f"{'scaled bias':>13}{'scaled var':>12}{'excluded':>10}")
-    print(header)
-    for c in metrics.cells:
-        print(f"  {c.method:<10}{c.x:>6.2f}{c.coverage:>10.3f}"
-              f"{c.scaled_bias:>13.4f}{c.scaled_var:>12.4f}"
-              f"{c.n_excluded:>10d}")
+    print(f"  {'method':<10}{'x':>6}{'coverage':>10}"
+          f"{'scaled bias':>13}{'scaled var':>12}{'excluded':>10}")
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            print(f"  {row['method']:<10}{float(row['x']):>6.2f}"
+                  f"{float(row['coverage']):>10.3f}"
+                  f"{float(row['scaled_bias']):>13.4f}"
+                  f"{float(row['scaled_var']):>12.4f}"
+                  f"{int(row['n_excluded']):>10d}")
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    scenarios = tuple(s.strip() for s in args.scenarios.split(",") if s.strip())
-    os.makedirs(args.out, exist_ok=True)
+    scenarios = [s.strip() for s in args.scenarios.split(",") if s.strip()]
     cache = os.path.join(args.out, "chernoff_cache.json")
-
-    outputs = []
-    try:
-        for scenario in scenarios:
-            metrics, elapsed = run_one(args, scenario, cache)
-            csv_path = os.path.join(args.out, f"{scenario}_metrics.csv")
-            json_path = os.path.join(args.out, f"{scenario}_metrics.json")
-            with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(metrics.to_csv_text())
-            with open(json_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(metrics.to_json_text())
-            outputs += [csv_path, json_path]
-            print_table(scenario, metrics, elapsed, args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    manifest = {"settings": {k: getattr(args, k) for k in vars(args)},
-                "scenarios": list(scenarios),
-                "outputs": outputs}
-    manifest_path = os.path.join(args.out, "manifest.json")
-    with open(manifest_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {len(outputs)} metric files and {manifest_path}")
+    for scenario in scenarios:
+        out = os.path.join(args.out, scenario)
+        started = time.perf_counter()
+        code = cli.main(["simulate", "--scenario", scenario,
+                         "--n", str(args.n), "--reps", str(args.reps),
+                         "--grid", args.grid, "--methods", args.methods,
+                         "--alpha", str(args.alpha), "--seed", str(args.seed),
+                         "--threads", str(args.threads),
+                         "--chernoff-reps", str(args.chernoff_reps),
+                         "--chernoff-cache", cache, "--out", out])
+        if code != 0:
+            return code
+        print_table(scenario, os.path.join(out, "metrics.csv"),
+                    time.perf_counter() - started, args)
+    print(f"\nwrote {len(scenarios)} scenario directories under {args.out}")
     return 0
 
 

@@ -34,8 +34,7 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .mhr_estimator import MhrFit, TruncationPolicy, fit_theta, theta_at
-from .survival_core import (CensoredSample, SurvivalCurve,
-                            generalized_inverse, kaplan_meier,
+from .survival_core import (CensoredSample, SurvivalCurve, kaplan_meier,
                             reverse_kaplan_meier)
 
 __all__ = [
@@ -322,7 +321,10 @@ def _loo_predictions(u: np.ndarray, y: np.ndarray, bandwidths: np.ndarray):
 
 
 def cv_bandwidth(points, candidates) -> float:
-    """Leave-one-out cross-validated bandwidth over a candidate grid.
+    """Leave-level-out cross-validated bandwidth over a candidate grid.
+
+    Each point is predicted with every point sharing its response held out
+    (see `_loo_predictions`).
 
     Ties within 1e-12 (1 + y.y), which absorbs float noise on exactly-linear
     data, take the largest.
@@ -366,8 +368,9 @@ def _derivative_grid(fit: MhrFit, n: int):
     if m < 9:
         raise ValueError("sample too small for the derivative grid")
     grid = np.linspace(0.0, fit.eta_n, m)
-    t = generalized_inverse(fit.lambda_T_hat, grid)
-    return np.column_stack([grid, fit.theta(t)]), m
+    # theta_n(Lambda_T^-(u)) is the hull's left slope at u, its first at u = 0
+    left = np.maximum(np.searchsorted(fit.hull.u, grid, "left") - 1, 0)
+    return np.column_stack([grid, fit.hull.slopes[left]]), m
 
 
 @dataclass(frozen=True)

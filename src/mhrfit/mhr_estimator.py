@@ -31,21 +31,15 @@ __all__ = [
 class TruncationPolicy:
     """How much upper tail to drop before fitting.
 
-    mode "recommended": r_n = 0.05 for n < 1000, (log n)^2.1 / n after.
-    mode "fixed": the supplied fraction, for all n.
+    fraction None, the recommended r_n: 0.05 for n < 1000, (log n)^2.1 / n after.
+    Otherwise the supplied fraction in (0, 1), for all n.
     """
 
-    mode: str = "recommended"
     fraction: float | None = None
 
     def __post_init__(self):
-        if self.mode not in ("recommended", "fixed"):
-            raise ValueError(f"unknown truncation mode {self.mode!r}")
-        if self.mode == "fixed":
-            if self.fraction is None or not 0.0 < self.fraction < 1.0:
-                raise ValueError("fixed mode needs a fraction in (0, 1)")
-        elif self.fraction is not None:
-            raise ValueError("recommended mode takes no fraction")
+        if self.fraction is not None and not 0.0 < self.fraction < 1.0:
+            raise ValueError("fixed mode needs a fraction in (0, 1)")
 
     @classmethod
     def recommended(cls) -> "TruncationPolicy":
@@ -53,7 +47,7 @@ class TruncationPolicy:
 
     @classmethod
     def fixed(cls, fraction: float) -> "TruncationPolicy":
-        return cls(mode="fixed", fraction=fraction)
+        return cls(fraction=fraction)
 
 
 @dataclass(frozen=True)
@@ -71,7 +65,7 @@ class MhrFit:
 def truncation_fraction(n: int, policy: TruncationPolicy = TruncationPolicy()) -> float:
     if n < 1:
         raise ValueError("n must be positive")
-    if policy.mode == "fixed":
+    if policy.fraction is not None:
         return policy.fraction
     if n < 1000:
         return 0.05

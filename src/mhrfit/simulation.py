@@ -26,7 +26,7 @@ from scipy.special import fresnel
 from .inference import (ChernoffConfig, ChernoffTable, chernoff_table,
                         plugin_ci, plugin_scale, split_ci, split_fit)
 from .kernel_baseline import smooth_hr_ci, smooth_hr_fit
-from .mhr_estimator import TruncationPolicy, fit_theta, theta_at
+from .mhr_estimator import fit_theta, theta_at
 from .survival_core import CensoredSample
 
 __all__ = [
@@ -191,10 +191,8 @@ class StudyConfig:
     alpha: float = 0.05
     methods: tuple[str, ...] = ("monotone", "split", "kernel")
     seed: int = 0
-    pi: float = 0.5
     splits: int = 5
     threads: int = 1
-    policy: TruncationPolicy = field(default_factory=TruncationPolicy.recommended)
     chernoff: ChernoffConfig = field(default_factory=ChernoffConfig)
     chernoff_cache: str | None = None
 
@@ -207,8 +205,6 @@ class StudyConfig:
             raise ValueError("grid points must lie in (0, 2)")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if not 0.0 < self.pi < 1.0:
-            raise ValueError("pi must lie in (0, 1)")
         if self.splits < 2 or self.threads < 1:
             raise ValueError("need splits >= 2 and threads >= 1")
 
@@ -246,89 +242,85 @@ class StudyMetrics:
         return json.dumps({"cells": rows}, indent=2, sort_keys=True) + "\n"
 
 
+def _estimators(method: str, config: StudyConfig, sample: CensoredSample,
+                rep: int, table: ChernoffTable | None):
+    """A method's (point estimate at x or None, interval at x) for one sample.
+
+    The fit runs here, once; both callables raise ValueError at a point
+    they cannot serve.  The monotone estimate comes from its own call, so
+    it is kept when the plug-in interval fails.
+    """
+    if method == "monotone":
+        fit = fit_theta(sample)
+        scale = plugin_scale(fit, sample)
+        return (lambda x: theta_at(fit, x),
+                lambda x: plugin_ci(fit, sample, x, config.alpha, table,
+                                    scale=scale))
+    if method == "split":
+        sfit = split_fit(sample, config.splits, seed=(config.seed, rep, 1))
+        return None, lambda x: split_ci(sfit, x, alpha=config.alpha)
+    kfit = smooth_hr_fit(sample)
+    return None, lambda x: smooth_hr_ci(kfit, x, alpha=config.alpha)
+
+
 def _run_replication(payload):
     """Worker for one replication; maps each method to its result arrays.
 
     Estimates are nan when the point is not estimable for that replication
     (for example beyond the truncation time); interval endpoints are nan
-    when no interval could be formed.  A method that is not built in comes
-    from extra; `run_study` has checked that it is there.
+    when no interval could be formed.
     """
-    config, table, rep, extra = payload
-    scenario = make_scenario(config.scenario)
-    sample = generate_dataset(scenario, config.n, config.pi,
+    config, table, rep = payload
+    # balanced arms, the only allocation the study draws
+    sample = generate_dataset(make_scenario(config.scenario), config.n, 0.5,
                               seed=(config.seed, rep))
     grid = np.asarray(config.grid, dtype=float)
     out = {}
     for method in config.methods:
-        est = np.full(grid.size, np.nan)
-        lo = np.full(grid.size, np.nan)
-        hi = np.full(grid.size, np.nan)
-        try:
-            if method == "monotone":
-                fit = fit_theta(sample, policy=config.policy)
-                scale = plugin_scale(fit, sample)
-                for i, x in enumerate(grid):
-                    try:
-                        est[i] = theta_at(fit, x)
-                        ci = plugin_ci(fit, sample, x, config.alpha, table,
-                                       scale=scale)
-                        lo[i], hi[i] = ci.lower, ci.upper
-                    except ValueError:
-                        continue
-            elif method == "split":
-                sfit = split_fit(sample, config.splits,
-                                 seed=(config.seed, rep, 1),
-                                 policy=config.policy)
-                for i, x in enumerate(grid):
-                    try:
-                        ci = split_ci(sfit, x, alpha=config.alpha)
-                        est[i] = ci.estimate
-                        lo[i], hi[i] = ci.lower, ci.upper
-                    except ValueError:
-                        continue
-            elif method == "kernel":
-                kfit = smooth_hr_fit(sample)
-                for i, x in enumerate(grid):
-                    try:
-                        ci = smooth_hr_ci(kfit, x, alpha=config.alpha)
-                        est[i] = ci.estimate
-                        lo[i], hi[i] = ci.lower, ci.upper
-                    except ValueError:
-                        continue
-            else:
-                for i, x in enumerate(grid):
-                    est[i], lo[i], hi[i] = extra[method](sample, x, config.alpha)
-        except ValueError:
-            pass
+        est, lo, hi = (np.full(grid.size, np.nan) for _ in range(3))
         out[method] = (est, lo, hi)
+        try:
+            point, interval = _estimators(method, config, sample, rep, table)
+        except ValueError:
+            continue
+        for i, x in enumerate(grid):
+            try:
+                if point is not None:
+                    est[i] = point(x)
+                ci = interval(x)
+            except ValueError:
+                continue
+            est[i], lo[i], hi[i] = ci.estimate, ci.lower, ci.upper
     return out
 
 
-def run_study(config: StudyConfig, extra_methods=None) -> StudyMetrics:
-    """Run all replications and aggregate error and coverage metrics.
-
-    extra_methods maps method names listed in config.methods to callables
-    (sample, x, alpha) -> (estimate, lower, upper); with threads > 1 they
-    must be picklable module-level functions.
-    """
-    known = {"monotone", "split", "kernel"} | set(extra_methods or {})
+def run_study(config: StudyConfig) -> StudyMetrics:
+    """Run all replications and aggregate error and coverage metrics."""
     for i, method in enumerate(config.methods):
-        if method not in known:
+        if method not in ("monotone", "split", "kernel"):
             raise ValueError(f"unknown method {method!r}")
         if method in config.methods[:i]:
             raise ValueError(f"method {method!r} repeated")
     table = None
     if "monotone" in config.methods:
         table = chernoff_table(config.chernoff, cache_path=config.chernoff_cache)
-    payloads = [(config, table, rep, extra_methods)
-                for rep in range(config.replications)]
+    payloads = [(config, table, rep) for rep in range(config.replications)]
     if config.threads > 1:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
+        # one worker per chunk of four replications at most
+        workers = min(config.threads, math.ceil(config.replications / 4))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_replication, payloads, chunksize=4))
     else:
         results = [_run_replication(payload) for payload in payloads]
+    return _aggregate(config, results)
 
+
+def _aggregate(config: StudyConfig, results) -> StudyMetrics:
+    """Metric cells per method and grid point from the replications' results.
+
+    results holds one mapping per replication, in order, from each method
+    of config.methods to its (estimate, lower, upper) arrays over the grid.
+    """
     grid = np.asarray(config.grid, dtype=float)
     scenario = make_scenario(config.scenario)
     truth = np.asarray(scenario.true_theta(grid), dtype=float)

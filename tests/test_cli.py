@@ -289,7 +289,7 @@ class TestSimulate:
         for threads, name in (("1", "s"), ("2", "p")):
             out = tmp_path / name
             assert cli.main(["simulate", "--scenario", "linear", "--n", "120",
-                             "--reps", "4", "--grid", "0.6,1.0",
+                             "--reps", "8", "--grid", "0.6,1.0",
                              "--methods", "split", "--seed", "5",
                              "--threads", threads, "--out", str(out)]) == 0
             texts.append((out / "metrics.csv").read_bytes())

@@ -30,10 +30,6 @@ class TestTruncationPolicy:
         assert truncation_fraction(10 ** 6, policy) == 0.2
         with pytest.raises(ValueError):
             TruncationPolicy.fixed(0.0)
-        with pytest.raises(ValueError):
-            TruncationPolicy(mode="recommended", fraction=0.1)
-        with pytest.raises(ValueError):
-            TruncationPolicy(mode="nonsense")
 
 
 class TestGammaN:

@@ -1,0 +1,60 @@
+"""The scripts and the benchmark's traced layers stay in step with the package."""
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import os
+import pathlib
+import subprocess
+import sys
+
+from mhrfit import cli
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_reproduce_study_runs_simulate(tmp_path):
+    flags = ["--n", "80", "--reps", "2", "--grid", "0.8,1.2",
+             "--methods", "monotone,split,kernel", "--seed", "3",
+             "--threads", "1", "--chernoff-reps", "300"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reproduce_study.py"),
+         "--out", str(tmp_path / "study"), "--scenarios", "linear"] + flags,
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    study = tmp_path / "study" / "linear"
+    assert {p.name for p in study.iterdir()} \
+        == {"metrics.csv", "metrics.json", "manifest.json"}
+    direct = tmp_path / "direct"
+    assert cli.main(["simulate", "--scenario", "linear", "--out", str(direct)]
+                    + flags) == 0
+    assert (study / "metrics.csv").read_bytes() \
+        == (direct / "metrics.csv").read_bytes()
+    assert "split" in proc.stdout and "kernel" in proc.stdout
+
+
+def test_reproduce_study_returns_simulate_exit(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reproduce_study.py"),
+         "--out", str(tmp_path), "--scenarios", "linear", "--reps", "0"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "error: --reps must be at least 1" in proc.stderr
+
+
+def test_traced_layers_exist():
+    # a layer the benchmark traces but cannot find drops its metrics
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for layer, path in spans.TARGETS.items():
+        module = "mhrfit." + layer.split(".")[0]
+        owner = importlib.import_module(module)
+        for part in path.split("."):
+            assert hasattr(owner, part), f"{layer}: {module} has no {path}"
+            owner = getattr(owner, part)
+        assert callable(owner), layer

@@ -9,19 +9,15 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from mhrfit import simulation
 from mhrfit.inference import ChernoffConfig
 from mhrfit.simulation import (MetricCell, StudyConfig, StudyMetrics,
                                generate_dataset, make_scenario, run_study,
                                sample_censoring,
-                               true_cumulative_hazard, _cum_base,
+                               true_cumulative_hazard, _aggregate, _cum_base,
                                _invert_cumulative)
 
 SCENARIOS = ("linear", "convex", "concave")
-
-
-def true_theta_linear_oracle(sample, x, alpha):
-    """Extra-method stub returning the linear-scenario truth exactly."""
-    return x, x - 1.0, x + 1.0
 
 
 class TestScenarios:
@@ -187,7 +183,7 @@ class TestStudyConfig:
         ok = dict(scenario="linear", n=100, replications=2, grid=(1.0,))
         StudyConfig(**ok)
         for bad in (dict(n=1), dict(replications=0), dict(grid=(0.0,)),
-                    dict(grid=(2.0,)), dict(alpha=0.0), dict(pi=1.0),
+                    dict(grid=(2.0,)), dict(alpha=0.0),
                     dict(splits=1), dict(threads=0)):
             with pytest.raises(ValueError):
                 StudyConfig(**{**ok, **bad})
@@ -224,12 +220,14 @@ class TestRunStudy:
                                             / np.cbrt(cell.n)) ** 2
 
     def test_true_theta_oracle_has_zero_bias(self):
-        # eight identical estimates average exactly, so the oracle method
-        # must come out with literally zero bias and full coverage
+        # eight replications whose estimates are the linear truth average
+        # it exactly, so the cells must show literally zero bias and full
+        # coverage
         config = StudyConfig(scenario="linear", n=100, replications=8,
-                             grid=(0.5, 1.0), methods=("oracle",), seed=4)
-        metrics = run_study(
-            config, extra_methods={"oracle": true_theta_linear_oracle})
+                             grid=(0.5, 1.0), methods=("monotone",), seed=4)
+        truth = np.array([0.5, 1.0])
+        results = [{"monotone": (truth, truth - 1.0, truth + 1.0)}] * 8
+        metrics = _aggregate(config, results)
         assert len(metrics.cells) == 2
         for cell in metrics.cells:
             assert cell.scaled_bias == 0.0
@@ -239,12 +237,40 @@ class TestRunStudy:
             assert cell.n_excluded == 0
 
     def test_serial_parallel_identical(self):
-        base = dict(scenario="linear", n=120, replications=4,
+        # eight replications are two chunks of four, so two workers run
+        base = dict(scenario="linear", n=120, replications=8,
                     grid=(0.6, 1.0), methods=("monotone", "split"), seed=5,
                     chernoff=ChernoffConfig(replications=300))
         serial = run_study(StudyConfig(threads=1, **base))
         parallel = run_study(StudyConfig(threads=2, **base))
         assert serial.to_csv_text() == parallel.to_csv_text()
+
+    def test_pool_sized_to_chunks(self, monkeypatch):
+        # chunks of four replications: one worker for up to four, and
+        # never more than threads
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, payloads, chunksize):
+                assert chunksize == 4
+                return map(func, payloads)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
+        for reps, threads in ((1, 4), (4, 4), (5, 4), (9, 2), (13, 8)):
+            config = StudyConfig(scenario="linear", n=80, replications=reps,
+                                 grid=(0.8,), methods=("split",),
+                                 threads=threads)
+            assert len(run_study(config).cells) == 1
+        assert sizes == [1, 1, 2, 2, 4]
 
     def test_failed_plugin_interval_keeps_estimate(self):
         # replication 0 is the infeasible_plugin_sample fixture: no plug-in
