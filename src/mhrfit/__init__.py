@@ -16,7 +16,8 @@ from .gcm import (ConvexMinorantFit, gcm_of_composed_hazards, left_slope_at,
 from .inference import (ChernoffConfig, ChernoffTable, ConfidenceInterval,
                         PluginScale, SplitFit, chernoff_table, cv_bandwidth,
                         estimate_tau, local_linear_slope, plugin_ci,
-                        plugin_scale, split_ci, split_fit)
+                        plugin_probability, plugin_scale, split_ci,
+                        split_fit)
 from .kernel_baseline import (SmoothedHazard, cv_bandwidth_hazard,
                               fit_smoothed_hazard, smooth_hr_ci,
                               smooth_hr_fit)
@@ -45,8 +46,8 @@ __all__ = [
     "truncation_fraction", "diagnostic_curve",
     "ChernoffConfig", "ChernoffTable", "ConfidenceInterval", "SplitFit",
     "PluginScale", "chernoff_table", "local_linear_slope",
-    "cv_bandwidth", "plugin_scale", "estimate_tau", "plugin_ci", "split_fit",
-    "split_ci",
+    "cv_bandwidth", "plugin_scale", "plugin_probability", "estimate_tau",
+    "plugin_ci", "split_fit", "split_ci",
     "SmoothedHazard", "fit_smoothed_hazard", "smooth_hr_fit",
     "cv_bandwidth_hazard", "smooth_hr_ci",
     "DiscreteDistribution", "OrderVerdict", "OrderReport", "discrete_hazard",

@@ -23,8 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .inference import (DEFAULT_PROBABILITIES, ChernoffConfig, chernoff_table,
-                        plugin_ci, plugin_scale, split_ci, split_fit)
+from .inference import (ChernoffConfig, chernoff_table, plugin_ci,
+                        plugin_probability, plugin_scale, split_ci, split_fit)
 from .mhr_estimator import (TruncationPolicy, diagnostic_curve, fit_theta,
                             theta_at)
 from .simulation import StudyConfig, run_study
@@ -127,6 +127,8 @@ def _resolve_grid(text: str, gamma: float) -> tuple:
     if text == "auto":
         return tuple(float(f) * gamma for f in np.linspace(0.1, 0.9, 9))
     values = _parse_float_list(text, "--grid")
+    if not np.all(np.isfinite(values)):
+        raise InputError("--grid: evaluation points must be finite")
     if any(v < 0 for v in values):
         raise InputError("--grid: evaluation points must be nonnegative")
     return tuple(sorted(values))
@@ -225,6 +227,11 @@ def _format_cell(value) -> str:
 def cmd_estimate(args) -> int:
     if not 0.0 < args.alpha < 1.0:
         raise InputError("--alpha must lie in (0, 1)")
+    if args.ci != "split":
+        try:
+            plugin_probability(args.alpha)
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
     if args.splits < 2:
         raise InputError("--splits must be at least 2")
     if args.chernoff_reps < 1:
@@ -406,19 +413,11 @@ def cmd_order_check(args) -> int:
 
 def cmd_chernoff(args) -> int:
     _check_table_path(args.out, "--out")
-    if args.probs is None:
-        probs = DEFAULT_PROBABILITIES
-    else:
-        probs = _parse_float_list(args.probs, "--probs")
-        if any(not 0.0 < p < 1.0 for p in probs) or list(probs) != sorted(set(probs)):
-            raise InputError("--probs must be strictly increasing values in (0, 1)")
     try:
-        config = ChernoffConfig(replications=args.reps,
-                                domain_half_width=args.L,
-                                grid_step=args.delta, seed=args.seed)
+        config = ChernoffConfig(replications=args.reps)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    table = chernoff_table(config, probabilities=probs, cache_path=args.out)
+    table = chernoff_table(config, cache_path=args.out)
     print(f"table with {len(table.probabilities)} quantiles at {args.out}; "
           f"variance {table.variance:.6f}")
     return 0
@@ -448,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="extend the fit flat beyond the truncation time "
                           "(no intervals there)")
     est.add_argument("--seed", type=int, default=0)
-    est.add_argument("--chernoff-reps", type=int, default=100_000)
+    est.add_argument("--chernoff-reps", type=int,
+                     default=ChernoffConfig.replications)
     est.add_argument("--chernoff-cache", default=None)
     est.set_defaults(func=cmd_estimate)
 
@@ -473,7 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--threads", type=int, default=None,
                      help="worker processes; defaults to available "
                           "parallelism or the THREADS environment variable")
-    sim.add_argument("--chernoff-reps", type=int, default=100_000)
+    sim.add_argument("--chernoff-reps", type=int,
+                     default=ChernoffConfig.replications)
     sim.add_argument("--chernoff-cache", default=None)
     sim.set_defaults(func=cmd_simulate)
 
@@ -488,12 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
                                           "limit-law quantile table")
     che.add_argument("--out", default="chernoff_table.json",
                      help="table file path (also used as the cache)")
-    che.add_argument("--probs", default=None,
-                     help="comma-separated probabilities")
-    che.add_argument("--reps", type=int, default=100_000)
-    che.add_argument("--L", type=float, default=10.0)
-    che.add_argument("--delta", type=float, default=0.005)
-    che.add_argument("--seed", type=int, default=1234)
+    che.add_argument("--reps", type=int, default=ChernoffConfig.replications,
+                     help="Monte Carlo replications; --chernoff-reps of "
+                          "estimate and simulate reads the same table")
     che.set_defaults(func=cmd_chernoff)
     return parser
 

@@ -47,13 +47,16 @@ __all__ = [
     "cv_bandwidth",
     "PluginScale",
     "plugin_scale",
+    "plugin_probability",
     "estimate_tau",
     "plugin_ci",
     "split_fit",
     "split_ci",
 ]
 
-DEFAULT_PROBABILITIES = tuple(np.round(np.arange(1, 1000) / 1000.0, 3))
+# The probabilities every table covers, as Python floats.
+DEFAULT_PROBABILITIES = tuple(
+    float(p) for p in np.round(np.arange(1, 1000) / 1000.0, 3))
 
 
 @dataclass(frozen=True)
@@ -93,11 +96,33 @@ class ChernoffTable:
     config: ChernoffConfig
 
     def quantile(self, p: float) -> float:
-        probs = np.asarray(self.probabilities)
-        if not probs[0] <= p <= probs[-1]:
-            raise ValueError(f"p={p} outside tabulated range "
-                             f"[{probs[0]}, {probs[-1]}]")
-        return float(np.interp(p, probs, np.asarray(self.quantiles)))
+        _check_tabulated(p, self.probabilities)
+        return float(np.interp(p, np.asarray(self.probabilities),
+                               np.asarray(self.quantiles)))
+
+
+def _check_tabulated(p: float, probabilities) -> None:
+    """Raise ValueError unless p lies in the range of sorted probabilities."""
+    if not probabilities[0] <= p <= probabilities[-1]:
+        raise ValueError(f"p={p} outside tabulated range "
+                         f"[{probabilities[0]}, {probabilities[-1]}]")
+
+
+def plugin_probability(alpha: float) -> float:
+    """1 - alpha/2, the Chernoff probability of a plug-in interval.
+
+    Raises ValueError unless alpha lies in (0, 1) and 1 - alpha/2 lies in
+    the range every table covers, [0.001, 0.999]: alpha >= 0.002.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    p = 1.0 - alpha / 2.0
+    try:
+        _check_tabulated(p, DEFAULT_PROBABILITIES)
+    except ValueError as exc:
+        raise ValueError(f"alpha={alpha} is too small for a plug-in "
+                         f"interval: {exc}") from None
+    return p
 
 
 def _simulate_chernoff(config: ChernoffConfig) -> np.ndarray:
@@ -132,26 +157,25 @@ def _simulate_chernoff(config: ChernoffConfig) -> np.ndarray:
     return draws
 
 
-def chernoff_table(config: ChernoffConfig = ChernoffConfig(),
-                   probabilities=DEFAULT_PROBABILITIES,
+def chernoff_table(config: ChernoffConfig = ChernoffConfig(), *,
                    cache_path: str | os.PathLike | None = None) -> ChernoffTable:
-    """Build (or load from cache) the quantile table for a MC config."""
-    probabilities = tuple(float(p) for p in probabilities)
-    if any(not 0.0 < p < 1.0 for p in probabilities):
-        raise ValueError("probabilities must lie in (0, 1)")
-    if list(probabilities) != sorted(probabilities):
-        raise ValueError("probabilities must be sorted")
+    """Build (or load from cache) the quantile table for a MC config.
+
+    The table covers DEFAULT_PROBABILITIES.  A cache file is used only if
+    its digest, config and probabilities match; otherwise it is rewritten.
+    """
     if cache_path is not None and os.path.isdir(cache_path):
         raise ValueError(f"cache path {cache_path} is a directory")
     if cache_path is not None and os.path.exists(cache_path):
         table = _load_table(cache_path)
         if (table is not None and table.config == config
-                and table.probabilities == probabilities):
+                and table.probabilities == DEFAULT_PROBABILITIES):
             return table
     draws = _simulate_chernoff(config)
     table = ChernoffTable(
-        probabilities=probabilities,
-        quantiles=tuple(float(q) for q in np.quantile(draws, probabilities)),
+        probabilities=DEFAULT_PROBABILITIES,
+        quantiles=tuple(float(q) for q in
+                        np.quantile(draws, DEFAULT_PROBABILITIES)),
         mean=float(draws.mean()),
         variance=float(draws.var()),
         config=config,
@@ -472,14 +496,13 @@ def plugin_ci(fit: MhrFit, sample: CensoredSample, x: float, alpha: float,
     ``scale`` is ``plugin_scale(fit, sample)``; pass it when evaluating
     many x on one fit, so the bandwidth search runs once.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    p = plugin_probability(alpha)
     if scale is None:
         scale = plugin_scale(fit, sample)
     elif scale.fit is not fit:
         raise ValueError("scale was built for another fit")
     tau = scale.tau(x)
-    q = chernoff.quantile(1.0 - alpha / 2.0)
+    q = chernoff.quantile(p)
     half = float(tau * q / np.cbrt(sample.n))
     estimate = theta_at(fit, x)
     return ConfidenceInterval(x=x, estimate=estimate, lower=estimate - half,

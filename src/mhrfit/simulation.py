@@ -24,7 +24,8 @@ import numpy as np
 from scipy.special import fresnel
 
 from .inference import (ChernoffConfig, ChernoffTable, chernoff_table,
-                        plugin_ci, plugin_scale, split_ci, split_fit)
+                        plugin_ci, plugin_probability, plugin_scale, split_ci,
+                        split_fit)
 from .kernel_baseline import smooth_hr_ci, smooth_hr_fit
 from .mhr_estimator import fit_theta, theta_at
 from .survival_core import CensoredSample
@@ -205,6 +206,8 @@ class StudyConfig:
             raise ValueError("grid points must lie in (0, 2)")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+        if "monotone" in self.methods:
+            plugin_probability(self.alpha)
         if self.splits < 2 or self.threads < 1:
             raise ValueError("need splits >= 2 and threads >= 1")
 

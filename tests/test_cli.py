@@ -212,6 +212,7 @@ class TestEstimate:
 
     @pytest.mark.parametrize("flag,value", [
         ("--rn", "soon"), ("--alpha", "1.5"), ("--alpha", "0"),
+        ("--alpha", "0.001"), ("--grid", "nan"), ("--grid", "inf"),
         ("--chernoff-reps", "0"), ("--splits", "1"), ("--seed", "-1")])
     def test_bad_flag_exits_2(self, tmp_path, sample_csv, flag, value):
         assert cli.main(["estimate", "--input", str(sample_csv),
@@ -344,6 +345,24 @@ class TestSimulate:
                          "--reps", "1", "--seed", "-1", "--threads", "1",
                          "--out", str(tmp_path / "o")]) == 2
 
+    def test_alpha_beyond_table_refused_before_monte_carlo(self, tmp_path,
+                                                           capsys,
+                                                           monkeypatch):
+        def no_simulation(config):
+            raise AssertionError("Monte Carlo ran")
+
+        monkeypatch.setattr(inference, "_simulate_chernoff", no_simulation)
+        argv = ["simulate", "--scenario", "linear", "--n", "80", "--reps", "1",
+                "--grid", "0.8", "--alpha", "0.001", "--threads", "1"]
+        out = tmp_path / "o"
+        assert cli.main(argv + ["--methods", "monotone,kernel",
+                                "--out", str(out)]) == 2
+        assert "too small for a plug-in interval" in capsys.readouterr().err
+        assert not out.exists()
+        # without the plug-in interval any alpha in (0, 1) is served
+        assert cli.main(argv + ["--methods", "split",
+                                "--out", str(out)]) == 0
+
     def test_chernoff_cache_reused(self, tmp_path):
         cache = tmp_path / "tab.json"
         argv = ["simulate", "--scenario", "linear", "--n", "80", "--reps", "1",
@@ -438,24 +457,35 @@ class TestChernoffCommand:
         assert cli.main(argv) == 0
         assert os.stat(out).st_mtime_ns == stamp
 
-    def test_custom_probs(self, tmp_path, capsys):
-        out = tmp_path / "tab.json"
-        assert cli.main(["chernoff", "--reps", "400", "--probs", "0.5,0.975",
-                         "--out", str(out)]) == 0
-        assert "table with 2 quantiles" in capsys.readouterr().out
+    def test_design_flags_removed(self, tmp_path):
+        # --reps is the whole Monte Carlo design a command line can set
+        for flag, value in (("--L", "5"), ("--delta", "0.01"),
+                            ("--seed", "7"), ("--probs", "0.5,0.975")):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["chernoff", "--reps", "400", flag, value,
+                          "--out", str(tmp_path / "t.json")])
+            assert exc.value.code == 2, flag
 
-    def test_bad_probs(self, tmp_path):
-        out = str(tmp_path / "tab.json")
-        assert cli.main(["chernoff", "--probs", "0.9,0.5", "--out", out]) == 2
-        assert cli.main(["chernoff", "--probs", "0,0.5", "--out", out]) == 2
+    def test_table_is_the_one_estimate_and_simulate_read(self, tmp_path,
+                                                         sample_csv,
+                                                         monkeypatch):
+        table = tmp_path / "tab.json"
+        assert cli.main(["chernoff", "--reps", "400",
+                         "--out", str(table)]) == 0
+        written = table.read_bytes()
 
-    def test_bad_grid_step(self, tmp_path):
-        assert cli.main(["chernoff", "--delta", "0",
-                         "--out", str(tmp_path / "t.json")]) == 2
+        def no_simulation(config):
+            raise AssertionError("Monte Carlo ran")
 
-    def test_negative_seed(self, tmp_path):
-        assert cli.main(["chernoff", "--reps", "400", "--seed", "-1",
-                         "--out", str(tmp_path / "t.json")]) == 2
+        monkeypatch.setattr(inference, "_simulate_chernoff", no_simulation)
+        reads = ["--chernoff-reps", "400", "--chernoff-cache", str(table)]
+        assert cli.main(["estimate", "--input", str(sample_csv), "--ci",
+                         "plugin", "--out", str(tmp_path / "e")] + reads) == 0
+        assert cli.main(["simulate", "--scenario", "linear", "--n", "80",
+                         "--reps", "1", "--grid", "0.8",
+                         "--methods", "monotone", "--threads", "1",
+                         "--out", str(tmp_path / "s")] + reads) == 0
+        assert table.read_bytes() == written
 
 
 @pytest.mark.parametrize("command", ["chernoff", "estimate", "simulate"])

@@ -15,7 +15,8 @@ from mhrfit.inference import (DEFAULT_PROBABILITIES, ChernoffConfig,
                               ChernoffTable, ConfidenceInterval, SplitFit,
                               _derivative_grid, chernoff_table, cv_bandwidth,
                               estimate_tau, local_linear_slope, plugin_ci,
-                              plugin_scale, split_ci, split_fit)
+                              plugin_probability, plugin_scale, split_ci,
+                              split_fit)
 from mhrfit.mhr_estimator import MhrFit, fit_theta, theta_at
 from mhrfit.survival_core import CensoredSample, StepFunction
 from oracles import tau_bracket_oracle
@@ -77,8 +78,9 @@ class TestChernoffTable:
         assert abs(chernoff4000.mean) < 0.03
 
     def test_quantile_domain(self, chernoff4000):
-        with pytest.raises(ValueError, match="outside tabulated range"):
-            chernoff4000.quantile(0.9999)
+        for p in (0.9999, 1.5):
+            with pytest.raises(ValueError, match="outside tabulated range"):
+                chernoff4000.quantile(p)
 
     def test_deterministic_given_seed(self):
         a = chernoff_table(SMALL_MC)
@@ -110,14 +112,6 @@ class TestChernoffTable:
         monkeypatch.setattr(inference, "_simulate_chernoff", no_simulation)
         with pytest.raises(ValueError, match="is a directory"):
             chernoff_table(SMALL_MC, cache_path=tmp_path)
-
-    def test_probability_validation(self):
-        with pytest.raises(ValueError):
-            chernoff_table(SMALL_MC, probabilities=(0.5, 0.2))
-        with pytest.raises(ValueError):
-            chernoff_table(SMALL_MC, probabilities=(0.0, 0.5))
-        with pytest.raises(ValueError):
-            chernoff_table(SMALL_MC).quantile(1.5)
 
 
 class TestLocalLinearSlope:
@@ -313,6 +307,15 @@ class TestPluginCi:
         fit = fit_theta(linear_sample_800)
         with pytest.raises(ValueError):
             plugin_ci(fit, linear_sample_800, 1.0, 0.0, chernoff4000)
+        with pytest.raises(ValueError, match="too small for a plug-in"):
+            plugin_ci(fit, linear_sample_800, 1.0, 0.001, chernoff4000)
+
+    def test_least_alpha_served(self, chernoff4000):
+        # 1 - 0.002/2 is the table's last probability, 0.999
+        assert chernoff4000.quantile(plugin_probability(0.002)) \
+            == chernoff4000.quantiles[-1]
+        with pytest.raises(ValueError, match="outside tabulated range"):
+            plugin_probability(0.0019)
 
 
 class TestPluginScale:

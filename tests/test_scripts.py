@@ -58,3 +58,23 @@ def test_traced_layers_exist():
             assert hasattr(owner, part), f"{layer}: {module} has no {path}"
             owner = getattr(owner, part)
         assert callable(owner), layer
+
+
+def test_benchmark_command_lines_parse(tmp_path, monkeypatch):
+    # a flag the benchmark passes and the CLI lacks fails every timed call
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_worker", ROOT / "perfbench" / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while the body runs
+    monkeypatch.setitem(sys.modules, spec.name, worker)
+    spec.loader.exec_module(worker)
+    work, out = str(tmp_path), str(tmp_path / "out")
+    argvs = [["chernoff", "--reps", str(worker.CHERNOFF_REPS),
+              "--out", worker.cache_path(work)]]
+    argvs += [worker.call_argv(w, work, 0, 0, out)
+              for w in worker.WORKLOADS.values()]
+    assert len(argvs) == 4
+    parser = cli.build_parser()
+    for argv in argvs:
+        parser.parse_args(argv)

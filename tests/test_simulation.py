@@ -182,8 +182,11 @@ class TestStudyConfig:
     def test_field_validation(self):
         ok = dict(scenario="linear", n=100, replications=2, grid=(1.0,))
         StudyConfig(**ok)
+        # alpha=0.001 puts 1 - alpha/2 outside the Chernoff table, which
+        # only the monotone method's plug-in interval reads
+        StudyConfig(**ok, alpha=0.001, methods=("split", "kernel"))
         for bad in (dict(n=1), dict(replications=0), dict(grid=(0.0,)),
-                    dict(grid=(2.0,)), dict(alpha=0.0),
+                    dict(grid=(2.0,)), dict(alpha=0.0), dict(alpha=0.001),
                     dict(splits=1), dict(threads=0)):
             with pytest.raises(ValueError):
                 StudyConfig(**{**ok, **bad})
