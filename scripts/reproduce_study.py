@@ -9,20 +9,28 @@ metrics.csv, metrics.json and manifest.json go to <out>/<scenario>/, and
 the scenarios share one Chernoff table cached at
 <out>/chernoff_cache.json.  Defaults finish in minutes on a workstation;
 raise --reps and --n to shrink the Monte Carlo error.
+
+The script owns --out, --scenarios, --n and --reps; every other flag
+goes to `mhrfit simulate` as given (see `mhrfit simulate --help`), so
+simulate's own defaults apply.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import json
 import os
 import time
 
 from mhrfit import cli
 
 
-def parse_args(argv=None) -> argparse.Namespace:
+def parse_args(argv=None) -> tuple[argparse.Namespace, list]:
+    """The script's own flags, and the rest for `simulate`."""
     parser = argparse.ArgumentParser(
-        description="coverage and risk study on synthetic two-arm data")
+        description="coverage and risk study on synthetic two-arm data; "
+                    "other flags go to `mhrfit simulate`",
+        allow_abbrev=False)
     parser.add_argument("--out", default="study_out",
                         help="output directory (default: %(default)s)")
     parser.add_argument("--scenarios", default="linear,convex,concave",
@@ -31,26 +39,18 @@ def parse_args(argv=None) -> argparse.Namespace:
                         help="observations per dataset")
     parser.add_argument("--reps", type=int, default=100,
                         help="replications per scenario")
-    parser.add_argument("--grid", default="0.5,1.0,1.5",
-                        help="comma separated evaluation points in (0, 2)")
-    parser.add_argument("--methods", default="monotone,split,kernel",
-                        help="comma separated interval methods")
-    parser.add_argument("--alpha", type=float, default=0.05,
-                        help="nominal miscoverage level")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int,
-                        default=max(1, os.cpu_count() or 1))
-    parser.add_argument("--chernoff-reps", type=int, default=100_000,
-                        help="Monte Carlo size for the limit quantile table")
-    return parser.parse_args(argv)
+    return parser.parse_known_args(argv)
 
 
-def print_table(scenario: str, csv_path: str, elapsed: float, args) -> None:
-    print(f"\n{scenario}  (n={args.n}, reps={args.reps}, "
-          f"alpha={args.alpha}, {elapsed:.1f}s)")
+def print_table(scenario: str, out: str, elapsed: float) -> None:
+    with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+        flags = json.load(fh)["flags"]
+    print(f"\n{scenario}  (n={flags['n']}, reps={flags['reps']}, "
+          f"alpha={flags['alpha']}, {elapsed:.1f}s)")
     print(f"  {'method':<10}{'x':>6}{'coverage':>10}"
           f"{'scaled bias':>13}{'scaled var':>12}{'excluded':>10}")
-    with open(csv_path, newline="", encoding="utf-8") as fh:
+    with open(os.path.join(out, "metrics.csv"), newline="",
+              encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
             print(f"  {row['method']:<10}{float(row['x']):>6.2f}"
                   f"{float(row['coverage']):>10.3f}"
@@ -60,7 +60,7 @@ def print_table(scenario: str, csv_path: str, elapsed: float, args) -> None:
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
+    args, simulate_flags = parse_args(argv)
     scenarios = [s.strip() for s in args.scenarios.split(",") if s.strip()]
     cache = os.path.join(args.out, "chernoff_cache.json")
     for scenario in scenarios:
@@ -68,15 +68,11 @@ def main(argv=None) -> int:
         started = time.perf_counter()
         code = cli.main(["simulate", "--scenario", scenario,
                          "--n", str(args.n), "--reps", str(args.reps),
-                         "--grid", args.grid, "--methods", args.methods,
-                         "--alpha", str(args.alpha), "--seed", str(args.seed),
-                         "--threads", str(args.threads),
-                         "--chernoff-reps", str(args.chernoff_reps),
-                         "--chernoff-cache", cache, "--out", out])
+                         "--chernoff-cache", cache, "--out", out]
+                        + simulate_flags)
         if code != 0:
             return code
-        print_table(scenario, os.path.join(out, "metrics.csv"),
-                    time.perf_counter() - started, args)
+        print_table(scenario, out, time.perf_counter() - started)
     print(f"\nwrote {len(scenarios)} scenario directories under {args.out}")
     return 0
 

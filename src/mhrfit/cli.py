@@ -113,9 +113,11 @@ def _parse_policy(text: str) -> TruncationPolicy:
         raise InputError(str(exc)) from exc
 
 
-def _parse_float_list(text: str, flag: str) -> tuple:
+def _parse_list(text: str, flag: str, cast) -> tuple:
+    """The nonblank comma-separated items of text, each passed through cast."""
     try:
-        values = tuple(float(part) for part in text.split(",") if part.strip())
+        values = tuple(cast(part.strip()) for part in text.split(",")
+                       if part.strip())
     except ValueError as exc:
         raise InputError(f"{flag}: could not parse {text!r}") from exc
     if not values:
@@ -126,7 +128,7 @@ def _parse_float_list(text: str, flag: str) -> tuple:
 def _resolve_grid(text: str, gamma: float) -> tuple:
     if text == "auto":
         return tuple(float(f) * gamma for f in np.linspace(0.1, 0.9, 9))
-    values = _parse_float_list(text, "--grid")
+    values = _parse_list(text, "--grid", float)
     if not np.all(np.isfinite(values)):
         raise InputError("--grid: evaluation points must be finite")
     if any(v < 0 for v in values):
@@ -199,7 +201,13 @@ def _svg_render(series, width=640, height=420, margin=50.0) -> str:
 
 
 def _step_points(knots, values, value_at_zero, x_end):
-    """(x, y) vertices of the step function drawn from 0, to x_end if later."""
+    """(x, y) vertices of the step function drawn from 0, to x_end if later.
+
+    Knots where the value does not change would add only collinear
+    vertices, so the drawing keeps just the steps.
+    """
+    steps = np.diff(values, prepend=value_at_zero) != 0
+    knots, values = knots[steps], values[steps]
     xs = np.append(0.0, np.repeat(knots, 2))
     ys = np.repeat(np.append(value_at_zero, values), 2)
     if len(knots) and x_end <= knots[-1]:
@@ -234,8 +242,10 @@ def cmd_estimate(args) -> int:
             raise InputError(str(exc)) from exc
     if args.splits < 2:
         raise InputError("--splits must be at least 2")
-    if args.chernoff_reps < 1:
-        raise InputError("--chernoff-reps must be at least 1")
+    try:
+        chernoff = ChernoffConfig(replications=args.chernoff_reps)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     _check_table_path(args.chernoff_cache, "--chernoff-cache")
     sample = _read_sample(args.input)
     policy = _parse_policy(args.rn)
@@ -250,8 +260,7 @@ def cmd_estimate(args) -> int:
 
     table = scale = None
     if "plugin" in methods:
-        config = ChernoffConfig(replications=args.chernoff_reps)
-        table = chernoff_table(config, cache_path=args.chernoff_cache)
+        table = chernoff_table(chernoff, cache_path=args.chernoff_cache)
         scale = plugin_scale(fit, sample)
     sfit = None
     if "split" in methods:
@@ -337,16 +346,9 @@ def cmd_simulate(args) -> int:
         raise InputError("--n must be at least 2")
     if args.reps < 1:
         raise InputError("--reps must be at least 1")
-    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    if not methods:
-        raise InputError("--methods: empty list")
-    for i, m in enumerate(methods):
-        if m not in ("monotone", "split", "kernel"):
-            raise InputError(f"unknown method {m!r}")
-        if m in methods[:i]:
-            raise InputError(f"--methods: {m!r} repeated")
+    methods = _parse_list(args.methods, "--methods", str)
     _check_table_path(args.chernoff_cache, "--chernoff-cache")
-    grid = _parse_float_list(args.grid, "--grid")
+    grid = _parse_list(args.grid, "--grid", float)
     try:
         config = StudyConfig(scenario=args.scenario, n=args.n,
                              replications=args.reps, grid=grid,
@@ -466,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--reps", type=int, required=True)
     sim.add_argument("--out", default="mhrfit_out")
     sim.add_argument("--grid", default="0.5,1.0,1.5")
-    sim.add_argument("--methods", default="monotone,split,kernel")
+    sim.add_argument("--methods", default=",".join(StudyConfig.methods))
     sim.add_argument("--alpha", type=float, default=0.05)
     sim.add_argument("--splits", type=int, default=5)
     sim.add_argument("--seed", type=int, default=0)

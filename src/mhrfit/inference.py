@@ -69,7 +69,9 @@ class ChernoffConfig:
     seed: int = 1234
 
     def __post_init__(self):
-        if self.replications < 1 or self.domain_half_width <= 0 or self.grid_step <= 0:
+        if self.replications < 1:
+            raise ValueError("replications must be at least 1")
+        if self.domain_half_width <= 0 or self.grid_step <= 0:
             raise ValueError("invalid Chernoff Monte Carlo configuration")
         if self.grid_step >= self.domain_half_width:
             raise ValueError("grid step must be smaller than the domain half-width")

@@ -190,6 +190,7 @@ class StudyConfig:
     replications: int
     grid: tuple[float, ...]
     alpha: float = 0.05
+    # the default is every method the study knows
     methods: tuple[str, ...] = ("monotone", "split", "kernel")
     seed: int = 0
     splits: int = 5
@@ -198,14 +199,24 @@ class StudyConfig:
     chernoff_cache: str | None = None
 
     def __post_init__(self):
+        make_scenario(self.scenario)
         if self.n < 2:
             raise ValueError("n must be at least 2")
         if self.replications < 1:
             raise ValueError("replications must be positive")
+        if not self.grid:
+            raise ValueError("grid must not be empty")
         if not all(0.0 < x < 2.0 for x in self.grid):
             raise ValueError("grid points must lie in (0, 2)")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+        if not self.methods:
+            raise ValueError("methods must not be empty")
+        for i, method in enumerate(self.methods):
+            if method not in StudyConfig.methods:
+                raise ValueError(f"unknown method {method!r}")
+            if method in self.methods[:i]:
+                raise ValueError(f"method {method!r} repeated")
         if "monotone" in self.methods:
             plugin_probability(self.alpha)
         if self.splits < 2 or self.threads < 1:
@@ -299,11 +310,6 @@ def _run_replication(payload):
 
 def run_study(config: StudyConfig) -> StudyMetrics:
     """Run all replications and aggregate error and coverage metrics."""
-    for i, method in enumerate(config.methods):
-        if method not in ("monotone", "split", "kernel"):
-            raise ValueError(f"unknown method {method!r}")
-        if method in config.methods[:i]:
-            raise ValueError(f"method {method!r} repeated")
     table = None
     if "monotone" in config.methods:
         table = chernoff_table(config.chernoff, cache_path=config.chernoff_cache)

@@ -219,15 +219,23 @@ class TestEstimate:
                          "--out", str(tmp_path / "o"), flag, value]) == 2
 
 
+TAIL = ("50.00,370.00 201.20,370.00 201.20,282.73 "
+        "460.40,282.73 460.40,50.00 590.00,50.00")
+
+
 class TestStepPlot:
-    @pytest.mark.parametrize("x_end,points", [
-        (2.5, "50.00,370.00 201.20,370.00 201.20,282.73 "
-              "460.40,282.73 460.40,50.00 590.00,50.00"),
+    @pytest.mark.parametrize("knots,values,x_end,points", [
+        ([0.7, 1.9], [0.3, 1.1], 2.5, TAIL),
         # ending on the last knot adds no flat tail
-        (1.9, "50.00,370.00 248.95,370.00 248.95,282.73 "
-              "590.00,282.73 590.00,50.00")], ids=["tail", "no-tail"])
-    def test_theta_polyline_coordinates(self, x_end, points):
-        theta = StepFunction([0.7, 1.9], [0.3, 1.1], 0.0)
+        ([0.7, 1.9], [0.3, 1.1], 1.9,
+         "50.00,370.00 248.95,370.00 248.95,282.73 "
+         "590.00,282.73 590.00,50.00"),
+        # knots where the value stays put draw nothing of their own
+        ([0.7, 1.2, 1.9], [0.3, 0.3, 1.1], 2.5, TAIL),
+        ([0.7, 1.9, 2.5], [0.3, 1.1, 1.1], 2.5, TAIL)],
+        ids=["tail", "no-tail", "flat-knot", "flat-last-knot"])
+    def test_theta_polyline_coordinates(self, knots, values, x_end, points):
+        theta = StepFunction(knots, values, 0.0)
         xs, ys = cli._step_points(theta.knots, theta.values,
                                   theta.value_at_zero, x_end)
         svg = cli._svg_render([{"x": xs, "y": ys}])
@@ -331,7 +339,7 @@ class TestSimulate:
         assert cli.main(["simulate", "--scenario", "linear", "--n", "80",
                          "--reps", "1", "--methods", "split,kernel,split",
                          "--threads", "1", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: --methods: 'split' repeated\n"
+        assert capsys.readouterr().err == "error: method 'split' repeated\n"
         assert not out.exists()
 
     def test_bad_sizes(self, tmp_path):
@@ -512,6 +520,23 @@ def test_table_path_that_is_a_directory(tmp_path, sample_csv, capsys,
         f"error: {flag}: {table_dir} is a directory, not a table file\n")
     assert not out.exists()
     assert list(table_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["chernoff", "estimate", "simulate"])
+def test_chernoff_replications_rule(tmp_path, sample_csv, capsys, command):
+    # one rule and one message, whichever command takes the count
+    out = str(tmp_path / "o")
+    argv = {
+        "chernoff": ["chernoff", "--reps", "0", "--out", out],
+        "estimate": ["estimate", "--input", str(sample_csv), "--out", out,
+                     "--chernoff-reps", "0"],
+        "simulate": ["simulate", "--scenario", "linear", "--n", "80",
+                     "--reps", "1", "--threads", "1", "--out", out,
+                     "--chernoff-reps", "0"],
+    }[command]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: replications must be at least 1\n"
+    assert not os.path.exists(out)
 
 
 class TestThreadResolution:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
 import os
 import pathlib
 import subprocess
@@ -42,6 +43,49 @@ def test_reproduce_study_returns_simulate_exit(tmp_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 2
     assert "error: --reps must be at least 1" in proc.stderr
+
+
+def test_reproduce_study_forwards_simulate_flags(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reproduce_study.py"),
+         "--out", str(tmp_path), "--scenarios", "linear", "--n", "80",
+         "--reps", "1", "--grid", "0.8", "--methods", "split",
+         "--splits", "3", "--alpha", "0.1"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    flags = json.loads((tmp_path / "linear" / "manifest.json")
+                       .read_text())["flags"]
+    assert (flags["n"], flags["reps"]) == (80, 1)
+    assert (flags["splits"], flags["alpha"]) == (3, 0.1)
+    # left to simulate, which resolves THREADS or the CPU count itself
+    assert flags["threads"] is None
+    assert "linear  (n=80, reps=1, alpha=0.1," in proc.stdout
+
+
+def test_order_gallery_matrix_matches_labels():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "order_gallery.py"),
+         "--witness"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    header = lines.index("exact verdicts, one pair per strictness gap") + 1
+    kinds = lines[header].split()[1:]
+    assert sorted(kinds) == ["hr", "lr", "mhr", "st"]
+    rows = []  # (line, verdict per order, orders with a witness line)
+    for line in lines[header + 1:]:
+        if " fails at t=" in line:
+            rows[-1][2].append(line.split()[0])
+        else:
+            rows.append((line, dict(zip(kinds, line.split()[-4:])), []))
+    assert len(rows) == 4
+    for line, verdicts, failing in rows:
+        held, _, rest = line.strip().partition(" holds, ")
+        broken = rest.split()[0]
+        assert verdicts[held] == "yes" and verdicts[broken] == "no", line
+        # one witness line per failing order, in column order
+        assert failing == [k for k in kinds if verdicts[k] == "no"], line
 
 
 def test_traced_layers_exist():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from mhrfit import simulation
+from mhrfit import inference, simulation
 from mhrfit.inference import ChernoffConfig
 from mhrfit.simulation import (MetricCell, StudyConfig, StudyMetrics,
                                generate_dataset, make_scenario, run_study,
@@ -187,23 +187,33 @@ class TestStudyConfig:
         StudyConfig(**ok, alpha=0.001, methods=("split", "kernel"))
         for bad in (dict(n=1), dict(replications=0), dict(grid=(0.0,)),
                     dict(grid=(2.0,)), dict(alpha=0.0), dict(alpha=0.001),
-                    dict(splits=1), dict(threads=0)):
+                    dict(splits=1), dict(threads=0), dict(scenario="cubic"),
+                    dict(methods=()), dict(methods=("magic",)),
+                    dict(methods=("split", "split")), dict(grid=())):
             with pytest.raises(ValueError):
                 StudyConfig(**{**ok, **bad})
+
+    def test_unknown_scenario_refused_before_monte_carlo(self, monkeypatch):
+        def no_simulation(config):
+            raise AssertionError("Monte Carlo ran")
+
+        monkeypatch.setattr(inference, "_simulate_chernoff", no_simulation)
+        with pytest.raises(ValueError, match="unknown scenario 'bogus'"):
+            run_study(StudyConfig(scenario="bogus", n=100, replications=1,
+                                  grid=(1.0,), methods=("monotone",),
+                                  chernoff=ChernoffConfig(replications=2000)))
 
 
 class TestRunStudy:
     def test_unknown_method(self):
-        config = StudyConfig(scenario="linear", n=100, replications=1,
-                             grid=(1.0,), methods=("monotone", "magic"))
         with pytest.raises(ValueError, match="unknown method"):
-            run_study(config)
+            StudyConfig(scenario="linear", n=100, replications=1,
+                        grid=(1.0,), methods=("monotone", "magic"))
 
     def test_repeated_method(self):
-        config = StudyConfig(scenario="linear", n=100, replications=1,
-                             grid=(1.0,), methods=("split", "kernel", "split"))
         with pytest.raises(ValueError, match="method 'split' repeated"):
-            run_study(config)
+            StudyConfig(scenario="linear", n=100, replications=1,
+                        grid=(1.0,), methods=("split", "kernel", "split"))
 
     def test_shapes_and_ranges(self):
         config = StudyConfig(scenario="linear", n=150, replications=2,
