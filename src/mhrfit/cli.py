@@ -9,7 +9,8 @@ quantile table generation).
 Input CSVs are comma separated with a `time,status,arm` header, `.`
 decimals, UTF-8; status and arm are 0/1.  Every run with artifacts also
 writes a manifest recording the command, flags, seed and paths.  Exit
-codes: 0 success, 2 input error, 3 statistical degeneracy.
+codes: 0 success, 2 input error, 3 statistical degeneracy, 4 out of
+memory.
 """
 from __future__ import annotations
 
@@ -17,7 +18,9 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +30,7 @@ from .inference import (ChernoffConfig, chernoff_table, plugin_ci,
                         plugin_probability, plugin_scale, split_ci, split_fit)
 from .mhr_estimator import (TruncationPolicy, diagnostic_curve, fit_theta,
                             theta_at)
-from .simulation import StudyConfig, run_study
+from .simulation import SCENARIOS, StudyConfig, run_study
 from .stochastic_orders import DiscreteDistribution, figure1_suite, order_report
 from .survival_core import CensoredSample, first_invalid_row
 
@@ -37,6 +40,53 @@ __all__ = ["main", "cmd_estimate", "cmd_diagnose",
 
 class InputError(Exception):
     """User-input problem; maps to exit code 2."""
+
+
+def _json_text(obj, depth: int = 0) -> str:
+    """Exactly json.dumps(obj, indent=2, sort_keys=True), for string keys.
+
+    That call encodes element by element in Python.  Here a list of plain
+    finite floats is joined from their reprs in one call, which is what
+    the encoder writes for each; everything else is encoded item by item.
+    """
+    pad = "\n" + "  " * (depth + 1)
+    close = pad[:-2]
+    if isinstance(obj, dict) and obj:
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError("keys must be strings")
+        items = [json.dumps(key) + ": " + _json_text(obj[key], depth + 1)
+                 for key in sorted(obj)]
+        return "{" + pad + ("," + pad).join(items) + close + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        body = None
+        if set(map(type, obj)) == {float}:
+            body = ("," + pad).join(_float_reprs(obj))
+            if "n" in body:  # nan or inf, which JSON spells otherwise
+                body = None
+        if body is None:
+            body = ("," + pad).join(_json_text(item, depth + 1) for item in obj)
+        return "[" + pad + body + close + "]"
+    return json.dumps(obj)
+
+
+def _float_reprs(values: list) -> list:
+    """repr of each float, computed once per run of bitwise-equal neighbours.
+
+    A step function's values repeat in long runs, and repr is the cost.
+    """
+    array = np.array(values)
+    bits = array.view(np.int64)
+    starts = np.flatnonzero(np.append(True, bits[1:] != bits[:-1]))
+    reprs = list(map(float.__repr__, array[starts].tolist()))
+    if len(reprs) == len(values):
+        return reprs
+    runs = np.diff(np.append(starts, len(values)))
+    return np.repeat(np.array(reprs, dtype=object), runs).tolist()
+
+
+def _write_json(path: str, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_json_text(obj) + "\n")
 
 
 def _write_manifest(out_dir: str, command: str, args, inputs, outputs) -> None:
@@ -49,24 +99,33 @@ def _write_manifest(out_dir: str, command: str, args, inputs, outputs) -> None:
     manifest = {"command": command, "flags": flags,
                 "seed": getattr(args, "seed", None), "inputs": list(inputs),
                 "outputs": list(outputs), "version": __version__}
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
-def _csv_rows(path: str, header: list):
-    """Yield (line number, fields) for each nonblank row under an exact header."""
+def _open_csv(path: str, header: list):
+    """The open file and its reader, positioned after an exact header row."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise InputError(str(exc)) from exc
-    empty = True
-    with fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(fh)
+    try:
         first = next(reader, None)
         if first is None:
             raise InputError(f"{path}: empty file")
         if [h.strip() for h in first] != header:
             raise InputError(f"{path}: header must be exactly '{','.join(header)}'")
+    except BaseException:
+        fh.close()
+        raise
+    return fh, reader
+
+
+def _csv_rows(path: str, header: list):
+    """Yield (line number, fields) for each nonblank row under an exact header."""
+    fh, reader = _open_csv(path, header)
+    empty = True
+    with fh:
         for lineno, row in enumerate(reader, start=2):
             # blank when every cell is; a filled first cell settles it
             if not row or (not row[0].strip()
@@ -81,10 +140,20 @@ def _csv_rows(path: str, header: list):
         raise InputError(f"{path}: no data rows")
 
 
-def _read_sample(path: str) -> CensoredSample:
-    """Parse every row, then check the value rules once on the columns."""
+_SAMPLE_HEADER = ["time", "status", "arm"]
+_SAMPLE_DTYPE = [("time", np.float64), ("status", np.int64), ("arm", np.int64)]
+# Over these bytes numpy splits lines and cells as the csv module does and
+# reads each cell as float() or int() would.  Outside them it does not
+# always: it takes \x1c-\x1f as blanks and some letters as digits, and it
+# keeps quotes.  Letters would only spell inf or nan, which are refused.
+_PLAIN_CELLS = b"0123456789.eE+-, \t\r\n"
+_LINE_END = re.compile(rb"[\r\n]")
+
+
+def _parse_rows(path: str) -> tuple:
+    """The sample's columns, row by row; the source of every input message."""
     times, status, arms, linenos = [], [], [], []
-    for lineno, row in _csv_rows(path, ["time", "status", "arm"]):
+    for lineno, row in _csv_rows(path, _SAMPLE_HEADER):
         try:
             times.append(float(row[0]))
             status.append(int(row[1]))
@@ -97,6 +166,46 @@ def _read_sample(path: str) -> CensoredSample:
     if invalid is not None:
         index, message = invalid
         raise InputError(f"{path}: line {linenos[index]}: {message}")
+    return columns
+
+
+def _load_columns(path: str):
+    """The sample's columns from one numpy parse, or None if it is not clean.
+
+    None means the row parser must decide: a character outside
+    `_PLAIN_CELLS` after the header line, any exception or warning of the
+    parse, no rows, or a row breaking a value rule.
+    """
+    _open_csv(path, _SAMPLE_HEADER)[0].close()  # the row parser's header check
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    header_end = _LINE_END.search(raw)
+    if header_end is None or raw[header_end.start():].translate(None, _PLAIN_CELLS):
+        return None
+    del raw
+    with warnings.catch_warnings():
+        # some numpy versions read "1.0" into an int column with only a
+        # DeprecationWarning, so every warning sends the file to the rows
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(path, dtype=_SAMPLE_DTYPE, delimiter=",",
+                               comments=None, quotechar=None, skiprows=1,
+                               encoding="utf-8", ndmin=1)
+        except MemoryError:
+            raise
+        except Exception:
+            return None
+    columns = table["time"], table["status"], table["arm"]
+    if table.size == 0 or first_invalid_row(*columns) is not None:
+        return None
+    return columns
+
+
+def _read_sample(path: str) -> CensoredSample:
+    """Parse the CSV in one numpy call; the row parser takes what it refuses."""
+    columns = _load_columns(path)
+    if columns is None:
+        columns = _parse_rows(path)
     return CensoredSample.from_arrays(*columns)
 
 
@@ -125,9 +234,10 @@ def _parse_list(text: str, flag: str, cast) -> tuple:
     return values
 
 
-def _resolve_grid(text: str, gamma: float) -> tuple:
+def _parse_grid(text: str):
+    """The sorted evaluation points, or None for 'auto', fixed by the fit."""
     if text == "auto":
-        return tuple(float(f) * gamma for f in np.linspace(0.1, 0.9, 9))
+        return None
     values = _parse_list(text, "--grid", float)
     if not np.all(np.isfinite(values)):
         raise InputError("--grid: evaluation points must be finite")
@@ -247,14 +357,16 @@ def cmd_estimate(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     _check_table_path(args.chernoff_cache, "--chernoff-cache")
-    sample = _read_sample(args.input)
     policy = _parse_policy(args.rn)
+    grid = _parse_grid(args.grid)
+    sample = _read_sample(args.input)
     try:
         fit = fit_theta(sample, policy=policy)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    grid = _resolve_grid(args.grid, fit.gamma_n)
+    if grid is None:
+        grid = tuple(float(f) * fit.gamma_n for f in np.linspace(0.1, 0.9, 9))
     methods = {"plugin": ("plugin",), "split": ("split",),
                "both": ("plugin", "split")}[args.ci]
 
@@ -298,8 +410,7 @@ def cmd_estimate(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     fit_path = os.path.join(args.out, "fit.json")
-    with open(fit_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(_fit_payload(fit), indent=2, sort_keys=True) + "\n")
+    _write_json(fit_path, _fit_payload(fit))
     ci_path = os.path.join(args.out, "ci.csv")
     with open(ci_path, "w", encoding="utf-8") as fh:
         fh.write("x,estimate,lower,upper,method\n")
@@ -318,8 +429,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    sample = _read_sample(args.input)
     policy = _parse_policy(args.rn)
+    sample = _read_sample(args.input)
     try:
         (u, v), hull = diagnostic_curve(sample, policy=policy)
     except ValueError as exc:
@@ -462,8 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     dia.set_defaults(func=cmd_diagnose)
 
     sim = sub.add_parser("simulate", help="synthetic-study metrics")
-    sim.add_argument("--scenario", required=True,
-                     choices=("linear", "convex", "concave"))
+    sim.add_argument("--scenario", required=True, choices=tuple(SCENARIOS))
     sim.add_argument("--n", type=int, required=True)
     sim.add_argument("--reps", type=int, required=True)
     sim.add_argument("--out", default="mhrfit_out")
@@ -508,6 +618,10 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory; the input is too large for this machine",
+              file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

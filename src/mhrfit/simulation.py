@@ -32,6 +32,7 @@ from .survival_core import CensoredSample
 
 __all__ = [
     "Scenario",
+    "SCENARIOS",
     "make_scenario",
     "true_cumulative_hazard",
     "sample_censoring",
@@ -91,22 +92,26 @@ class Scenario:
     cumulative_control: Callable
 
 
+# The built-in scenarios by name: what `make_scenario`, the study and
+# `simulate --scenario` accept.
+SCENARIOS = {scenario.name: scenario for scenario in (
+    Scenario("linear", lambda x: np.asarray(x, dtype=float) + 0.0,
+             lambda x: np.asarray(x) * _base_hazard(x), _base_hazard,
+             _cum_linear, _cum_base),
+    Scenario("convex", lambda x: np.asarray(x, dtype=float) ** 2,
+             lambda x: np.asarray(x) ** 2 * _base_hazard(x), _base_hazard,
+             _cum_quadratic, _cum_base),
+    Scenario("concave", lambda x: np.sqrt(np.asarray(x, dtype=float)),
+             lambda x: np.asarray(x) * _base_hazard(x),
+             lambda x: np.sqrt(np.asarray(x)) * _base_hazard(x),
+             _cum_linear, _cum_sqrt),
+)}
+
+
 def make_scenario(name: str) -> Scenario:
-    base = _base_hazard
-    if name == "linear":
-        return Scenario(name, lambda x: np.asarray(x, dtype=float) + 0.0,
-                        lambda x: np.asarray(x) * base(x), base,
-                        _cum_linear, _cum_base)
-    if name == "convex":
-        return Scenario(name, lambda x: np.asarray(x, dtype=float) ** 2,
-                        lambda x: np.asarray(x) ** 2 * base(x), base,
-                        _cum_quadratic, _cum_base)
-    if name == "concave":
-        return Scenario(name, lambda x: np.sqrt(np.asarray(x, dtype=float)),
-                        lambda x: np.asarray(x) * base(x),
-                        lambda x: np.sqrt(np.asarray(x)) * base(x),
-                        _cum_linear, _cum_sqrt)
-    raise ValueError(f"unknown scenario {name!r}")
+    if name not in SCENARIOS:
+        raise ValueError(f"unknown scenario {name!r}")
+    return SCENARIOS[name]
 
 
 def true_cumulative_hazard(scenario: Scenario, arm: int, x) -> np.ndarray:

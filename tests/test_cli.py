@@ -11,9 +11,9 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from mhrfit import cli, inference
+from mhrfit import cli, inference, mhr_estimator
 from mhrfit.mhr_estimator import fit_theta
-from mhrfit.simulation import generate_dataset, make_scenario
+from mhrfit.simulation import SCENARIOS, generate_dataset, make_scenario
 from mhrfit.survival_core import StepFunction
 
 
@@ -219,6 +219,51 @@ class TestEstimate:
                          "--out", str(tmp_path / "o"), flag, value]) == 2
 
 
+def refuse_to_read(path):
+    raise AssertionError("the input was read before the flags were checked")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["estimate", "--grid", "abc"], "error: --grid: could not parse 'abc'\n"),
+    (["estimate", "--grid", "nan"],
+     "error: --grid: evaluation points must be finite\n"),
+    (["estimate", "--rn", "soon"],
+     "error: --rn must be 'auto' or a number, got 'soon'\n"),
+    (["estimate", "--rn", "1.5"],
+     "error: fixed mode needs a fraction in (0, 1)\n"),
+    (["diagnose", "--rn", "soon"],
+     "error: --rn must be 'auto' or a number, got 'soon'\n")],
+    ids=["grid-text", "grid-nan", "estimate-rn", "estimate-rn-range",
+         "diagnose-rn"])
+def test_flags_checked_before_reading(tmp_path, sample_csv, capsys,
+                                      monkeypatch, argv, message):
+    monkeypatch.setattr(cli, "_read_sample", refuse_to_read)
+    assert cli.main(argv + ["--input", str(sample_csv),
+                            "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == message
+
+
+def raise_memory_error(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("command", ["estimate", "diagnose"])
+@pytest.mark.parametrize("target", ["read", "fit"])
+def test_out_of_memory_is_one_line(tmp_path, sample_csv, capsys, monkeypatch,
+                                   command, target):
+    if target == "read":
+        monkeypatch.setattr(np, "loadtxt", raise_memory_error)
+    else:
+        monkeypatch.setattr(cli, "fit_theta", raise_memory_error)
+        monkeypatch.setattr(mhr_estimator, "fit_theta", raise_memory_error)
+    assert cli.main([command, "--input", str(sample_csv),
+                     "--out", str(tmp_path / "o")]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == ("error: out of memory; the input is too large "
+                            "for this machine\n")
+    assert not (tmp_path / "o").exists()
+
+
 TAIL = ("50.00,370.00 201.20,370.00 201.20,282.73 "
         "460.40,282.73 460.40,50.00 590.00,50.00")
 
@@ -309,6 +354,16 @@ class TestSimulate:
             cli.main(["simulate", "--scenario", "cubic", "--n", "80",
                       "--reps", "1", "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
+
+    def test_scenario_choices_are_the_registry(self):
+        commands = next(action for action in cli.build_parser()._actions
+                        if action.dest == "command")
+        scenario = next(action for action
+                        in commands.choices["simulate"]._actions
+                        if action.dest == "scenario")
+        assert scenario.choices == tuple(SCENARIOS)
+        assert all(make_scenario(name) is SCENARIOS[name]
+                   for name in scenario.choices)
 
     def test_grid_outside_range(self, tmp_path, capsys):
         assert cli.main(["simulate", "--scenario", "linear", "--n", "80",

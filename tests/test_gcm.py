@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from mhrfit import gcm
 from mhrfit.gcm import (ConvexMinorantFit, gcm_of_composed_hazards,
                         left_slope_at, lower_convex_hull)
 from mhrfit.survival_core import StepFunction
@@ -82,6 +84,59 @@ class TestLowerConvexHull:
                 assert fit.value_at(u) <= v + 1e-9
             vertex_set = set(vertices(fit))
             assert vertex_set <= {(u, v) for u, v in coords.tolist()}
+
+
+def hull_points(kind, size, seed):
+    """Inputs above the prefilter floor, each with a different hard case."""
+    rng = np.random.default_rng(seed)
+    if kind == "cumulative":  # shaped like composed cumulative hazards
+        u = np.cumsum(rng.exponential(size=size))
+        v = np.cumsum(rng.exponential(size=size) * np.linspace(0.2, 2, size))
+    elif kind == "scatter":
+        u, v = rng.uniform(-5, 5, size), rng.standard_normal(size)
+    elif kind == "tied":  # many points per abscissa
+        u = rng.integers(0, size // 8, size).astype(float)
+        v = rng.integers(0, 50, size) / 4.0
+    elif kind == "collinear":  # every point on one exact line
+        u = rng.permutation(size).astype(float)
+        v = 3.0 * u - 7.0
+    elif kind == "collinear-float":  # one line up to rounding
+        u = np.sort(rng.uniform(0, 10, size))
+        v = rng.uniform(0.1, 3) * u + rng.uniform(-1, 1)
+    elif kind == "convex-integers":  # long exact runs on a few segments
+        u = np.arange(size, dtype=float)
+        v = np.maximum.reduce([0.0 * u, 2.0 * u - 1000.0, 5.0 * u - 4000.0])
+        v[rng.random(size) < 0.3] += rng.integers(1, 4)
+    else:  # "parabola": every point a vertex, slopes nearly equal
+        u = np.sort(rng.uniform(0, 1, size))
+        v = u * u
+    return u, v
+
+
+class TestPrefilteredHull:
+    """Above `_PREFILTER_MIN` points the sweep runs on a prefiltered set."""
+
+    @settings(max_examples=60)
+    @given(st.sampled_from(["cumulative", "scatter", "tied", "collinear",
+                            "collinear-float", "convex-integers",
+                            "parabola"]),
+           st.integers(gcm._PREFILTER_MIN + 1, 6 * gcm._PREFILTER_MIN),
+           st.integers(0, 2 ** 32 - 1))
+    # a bound without the slack drops points the sweep keeps here
+    @example("collinear-float", 4096, 0)
+    def test_equals_plain_sweep_bitwise(self, kind, size, seed):
+        u, v = hull_points(kind, size, seed)
+        fast = lower_convex_hull(u, v)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gcm, "_PREFILTER_MIN", np.inf)
+            plain = lower_convex_hull(u, v)
+        for name in ("u", "v", "slopes"):
+            assert getattr(fast, name).tobytes() == getattr(plain, name).tobytes()
+
+    def test_prefilter_drops_points(self):
+        u, v = hull_points("cumulative", 20 * gcm._PREFILTER_MIN, 3)
+        kept, _ = gcm._prefilter(u, v)
+        assert kept.size < u.size / 4
 
 
 class TestLeftSlopeAt:
