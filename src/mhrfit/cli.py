@@ -217,9 +217,9 @@ def _parse_policy(text: str) -> TruncationPolicy:
     except ValueError as exc:
         raise InputError(f"--rn must be 'auto' or a number, got {text!r}") from exc
     try:
-        return TruncationPolicy.fixed(fraction)
+        return TruncationPolicy(fraction)
     except ValueError as exc:
-        raise InputError(str(exc)) from exc
+        raise InputError(f"--rn: {exc}") from exc
 
 
 def _parse_list(text: str, flag: str, cast) -> tuple:

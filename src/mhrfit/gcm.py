@@ -16,7 +16,6 @@ from .survival_core import StepFunction, generalized_inverse
 
 __all__ = [
     "ConvexMinorantFit",
-    "lower_convex_hull",
     "gcm_of_composed_hazards",
     "left_slope_at",
 ]
@@ -81,7 +80,7 @@ def _prefilter(u, v):
     return u[keep], v[keep]
 
 
-def lower_convex_hull(u, v) -> ConvexMinorantFit:
+def _lower_convex_hull(u, v) -> ConvexMinorantFit:
     """Lower convex hull of the points (u[i], v[i]).
 
     Duplicate abscissas keep the minimum ordinate.  Pops only on strictly
@@ -128,7 +127,7 @@ def gcm_of_composed_hazards(lambda_S: StepFunction, lambda_T: StepFunction,
         t_eta = generalized_inverse(lambda_T, eta)
         u = np.append(u, eta)
         v = np.append(v, lambda_S(t_eta))
-    return lower_convex_hull(u, v)
+    return _lower_convex_hull(u, v)
 
 
 def left_slope_at(fit: ConvexMinorantFit, u):

@@ -43,12 +43,10 @@ __all__ = [
     "ConfidenceInterval",
     "SplitFit",
     "chernoff_table",
-    "local_linear_slope",
     "cv_bandwidth",
     "PluginScale",
     "plugin_scale",
     "plugin_probability",
-    "estimate_tau",
     "plugin_ci",
     "split_fit",
     "split_ci",
@@ -183,11 +181,11 @@ def chernoff_table(config: ChernoffConfig = ChernoffConfig(), *,
         config=config,
     )
     if cache_path is not None:
-        save_table(table, cache_path)
+        _save_table(table, cache_path)
     return table
 
 
-def save_table(table: ChernoffTable, path: str | os.PathLike) -> None:
+def _save_table(table: ChernoffTable, path: str | os.PathLike) -> None:
     """Write the table as JSON, creating the file's directory if needed."""
     payload = {
         "config": asdict(table.config),
@@ -234,7 +232,7 @@ def _epanechnikov(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0, out=z)
 
 
-def local_linear_slope(points, u0: float, bandwidth: float) -> float:
+def _local_linear_slope(points, u0: float, bandwidth: float) -> float:
     """Slope of the Epanechnikov-weighted least-squares line at u0."""
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
@@ -441,8 +439,8 @@ class PluginScale:
         if self.bandwidth is None:
             deriv = 0.0
         else:
-            deriv = max(local_linear_slope(self.points, fit.lambda_T_hat(x),
-                                           self.bandwidth), 0.0)
+            deriv = max(_local_linear_slope(self.points, fit.lambda_T_hat(x),
+                                            self.bandwidth), 0.0)
         theta = theta_at(fit, x)
         pi = self.pi_n
         factors = {
@@ -486,7 +484,12 @@ def plugin_scale(fit: MhrFit, sample: CensoredSample) -> PluginScale:
 
 
 def estimate_tau(fit: MhrFit, sample: CensoredSample, x: float) -> float:
-    """tau_n(x) for one x; use `plugin_scale` to evaluate many."""
+    """tau_n(x) for one x; callers use `plugin_scale(fit, sample).tau(x)`.
+
+    Not exported and not called: the benchmark's trace list
+    (perfbench/spans.py) still names this layer, and it goes when that
+    list names `plugin_scale` instead.
+    """
     return plugin_scale(fit, sample).tau(x)
 
 

@@ -21,11 +21,10 @@ from scipy.special import ndtri
 
 from .inference import (ConfidenceInterval, _epanechnikov, _select_bandwidth,
                         _windows)
-from .survival_core import CensoredSample, hazard_increments
+from .survival_core import CensoredSample, _hazard_increments
 
 __all__ = [
     "SmoothedHazard",
-    "fit_smoothed_hazard",
     "smooth_hr_fit",
     "smooth_hr_ci",
     "cv_bandwidth_hazard",
@@ -74,15 +73,6 @@ class SmoothedHazard:
         return float(np.sum(w * w * self.increments / self.at_risk))
 
 
-def fit_smoothed_hazard(sample: CensoredSample, arm: int,
-                        bandwidth: float) -> SmoothedHazard:
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
-    times, inc, y = hazard_increments(sample, arm)
-    return SmoothedHazard(arm=arm, bandwidth=bandwidth, event_times=times,
-                          increments=inc, at_risk=y)
-
-
 def _cv_criterion(times, inc, y, bandwidths):
     """Least-squares cross-validation score of each bandwidth.
 
@@ -111,7 +101,7 @@ def _cv_arrays(sample: CensoredSample, arm: int):
     times with Y above a sqrt(arm size) floor keeps selection driven by
     the well-estimated part of the hazard.
     """
-    times, inc, y = hazard_increments(sample, arm)
+    times, inc, y = _hazard_increments(sample, arm)
     if times.size < 3:
         raise ValueError("need at least 3 event times for cross validation")
     n_arm = np.count_nonzero(sample.arm == arm)
@@ -141,7 +131,7 @@ def smooth_hr_fit(
     """Both arms' smoothed hazards at their CV bandwidths, indexed by arm."""
     fits = []
     for arm in (0, 1):
-        times, inc, y = hazard_increments(sample, arm)
+        times, inc, y = _hazard_increments(sample, arm)
         h = cv_bandwidth_hazard(sample, arm, _default_candidates(times))
         fits.append(SmoothedHazard(arm=arm, bandwidth=h, event_times=times,
                                    increments=inc, at_risk=y))

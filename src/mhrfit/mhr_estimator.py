@@ -19,7 +19,6 @@ from .survival_core import CensoredSample, StepFunction, nelson_aalen
 __all__ = [
     "TruncationPolicy",
     "MhrFit",
-    "truncation_fraction",
     "gamma_n",
     "fit_theta",
     "theta_at",
@@ -39,15 +38,11 @@ class TruncationPolicy:
 
     def __post_init__(self):
         if self.fraction is not None and not 0.0 < self.fraction < 1.0:
-            raise ValueError("fixed mode needs a fraction in (0, 1)")
+            raise ValueError(f"fraction must lie in (0, 1), got {self.fraction}")
 
     @classmethod
     def recommended(cls) -> "TruncationPolicy":
         return cls()
-
-    @classmethod
-    def fixed(cls, fraction: float) -> "TruncationPolicy":
-        return cls(fraction=fraction)
 
 
 @dataclass(frozen=True)
@@ -62,7 +57,7 @@ class MhrFit:
     lambda_T_hat: StepFunction
 
 
-def truncation_fraction(n: int, policy: TruncationPolicy = TruncationPolicy()) -> float:
+def _truncation_fraction(n: int, policy: TruncationPolicy = TruncationPolicy()) -> float:
     if n < 1:
         raise ValueError("n must be positive")
     if policy.fraction is not None:
@@ -81,12 +76,12 @@ def gamma_n(sample: CensoredSample, r_n: float) -> float:
         raise ValueError("r_n must lie in (0, 1)")
     quantiles = []
     for arm in (0, 1):
-        times = np.sort(sample.arm_arrays(arm)[0])
+        times = sample.arm_arrays(arm)[0]
         if times.size == 0:
             raise ValueError(f"empty stratum: no observations in arm {arm}")
         k = math.ceil((1.0 - r_n) * times.size)
         k = min(max(k, 1), times.size)
-        quantiles.append(times[k - 1])
+        quantiles.append(np.partition(times, k - 1)[k - 1])
     return float(min(quantiles))
 
 
@@ -95,7 +90,7 @@ def fit_theta(sample: CensoredSample,
     """Fit the monotone hazard-ratio step function on (0, gamma_n]."""
     lam_S = nelson_aalen(sample, arm=1)
     lam_T = nelson_aalen(sample, arm=0)
-    r_n = truncation_fraction(sample.n, policy)
+    r_n = _truncation_fraction(sample.n, policy)
     gamma = gamma_n(sample, r_n)
     for arm, lam in ((0, lam_T), (1, lam_S)):
         if lam.knots.size == 0 or lam.knots[0] > gamma:

@@ -34,8 +34,6 @@ __all__ = [
     "Scenario",
     "SCENARIOS",
     "make_scenario",
-    "true_cumulative_hazard",
-    "sample_censoring",
     "generate_dataset",
     "StudyConfig",
     "MetricCell",
@@ -114,15 +112,6 @@ def make_scenario(name: str) -> Scenario:
     return SCENARIOS[name]
 
 
-def true_cumulative_hazard(scenario: Scenario, arm: int, x) -> np.ndarray:
-    if arm not in (0, 1):
-        raise ValueError(f"arm must be 0 (control) or 1 (treatment), got {arm!r}")
-    if np.any(np.asarray(x) < 0):
-        raise ValueError("x must be nonnegative")
-    f = scenario.cumulative_control if arm == 0 else scenario.cumulative_treatment
-    return f(x)
-
-
 def _invert_cumulative(cum: Callable, targets: np.ndarray) -> np.ndarray:
     """Solve cum(t) = target per entry by bracketed bisection to 1e-10."""
     targets = np.asarray(targets, dtype=float)
@@ -159,7 +148,7 @@ def _censoring_quantile(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_censoring(rng: np.random.Generator, size) -> np.ndarray:
+def _sample_censoring(rng: np.random.Generator, size) -> np.ndarray:
     return _censoring_quantile(1.0 - rng.random(size))
 
 
@@ -180,7 +169,7 @@ def generate_dataset(scenario: Scenario, n: int, pi: float,
         mask = arm == a
         if mask.any():
             event[mask] = _invert_cumulative(cum, targets[mask])
-    censor = sample_censoring(rng, size=n)
+    censor = _sample_censoring(rng, size=n)
     time = np.minimum(event, censor)
     status = (event <= censor).astype(np.int64)
     return CensoredSample.from_arrays(time, status, arm)

@@ -26,7 +26,6 @@ __all__ = [
     "DiscreteDistribution",
     "OrderVerdict",
     "OrderReport",
-    "discrete_hazard",
     "check_order",
     "order_report",
     "parametric_hazard_ratio",
@@ -78,12 +77,6 @@ class DiscreteDistribution:
         rows = sorted(pairs, key=lambda r: float(r[0]))
         return cls(tuple(r[0] for r in rows), tuple(r[1] for r in rows))
 
-    def mass_at(self, t) -> Fraction:
-        for s, m in zip(self.support, self.masses):
-            if s == t:
-                return m
-        return Fraction(0)
-
 
 def truncated_geometric(p: Fraction, k_max: int) -> DiscreteDistribution:
     """Geometric(p) on {1..k_max} keeping the raw masses p(1-p)^(k-1).
@@ -97,17 +90,6 @@ def truncated_geometric(p: Fraction, k_max: int) -> DiscreteDistribution:
         raise ValueError("p must lie strictly between 0 and 1")
     masses = tuple(p * (1 - p) ** (k - 1) for k in range(1, k_max + 1))
     return DiscreteDistribution(tuple(range(1, k_max + 1)), masses)
-
-
-def discrete_hazard(d: DiscreteDistribution) -> np.ndarray:
-    """Hazard at each support point: mass over survival just before it."""
-    rates = np.empty(len(d.masses))
-    seen = Fraction(0)
-    for j, m in enumerate(d.masses):
-        denom = 1 - seen
-        rates[j] = 0.0 if denom == 0 else float(m / denom)
-        seen += m
-    return rates
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ __all__ = [
     "StepFunction",
     "SurvivalCurve",
     "generalized_inverse",
-    "hazard_increments",
     "nelson_aalen",
     "kaplan_meier",
     "reverse_kaplan_meier",
@@ -204,16 +203,17 @@ def _increments(times: np.ndarray, status: np.ndarray, arm: int):
     order = np.argsort(times, kind="stable")
     times = times[order]
     status = status[order]
-    utimes, first = np.unique(times, return_index=True)
+    # the first index of each distinct time, read off the sorted times
+    first = np.flatnonzero(np.r_[True, times[1:] != times[:-1]])
     # at risk at u: subjects with observed time >= u
     at_risk = times.size - first
     d = np.add.reduceat(status, first)
     keep = d > 0
     y = at_risk[keep].astype(float)
-    return utimes[keep], d[keep].astype(float) / y, y
+    return times[first[keep]], d[keep].astype(float) / y, y
 
 
-def hazard_increments(sample: CensoredSample, arm: int):
+def _hazard_increments(sample: CensoredSample, arm: int):
     """(event times, Nelson-Aalen increments dN/Y, at-risk counts) for an arm."""
     return _increments(*sample.arm_arrays(arm), arm)
 
@@ -225,7 +225,7 @@ def _product_limit(times: np.ndarray, status: np.ndarray, arm: int) -> SurvivalC
 
 def nelson_aalen(sample: CensoredSample, arm: int) -> StepFunction:
     """Stratified Nelson-Aalen cumulative hazard for one arm."""
-    utimes, inc, _ = hazard_increments(sample, arm)
+    utimes, inc, _ = _hazard_increments(sample, arm)
     return StepFunction(utimes, np.cumsum(inc))
 
 

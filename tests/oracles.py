@@ -10,6 +10,7 @@ independently to go unnoticed.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -170,6 +171,57 @@ def tau_bracket_oracle(sample, x, theta):
     fbar_v = naive_km_at(t0, [1 - d for d in d0], x, left=True)
     return (theta / (pi * fbar_s * fbar_u)
             + theta ** 2 / ((1.0 - pi) * fbar_t * fbar_v))
+
+
+def increments_by_unique(times, status):
+    """(distinct event times, dN/Y, Y) of one arm, distinct times by np.unique.
+
+    The library finds the distinct times on the sorted column it already
+    holds; this form sorts a second time inside np.unique.
+    """
+    order = np.argsort(times, kind="stable")
+    times, status = times[order], status[order]
+    utimes, first = np.unique(times, return_index=True)
+    at_risk = times.size - first
+    d = np.add.reduceat(status, first)
+    keep = d > 0
+    y = at_risk[keep].astype(float)
+    return utimes[keep], d[keep].astype(float) / y, y
+
+
+def gamma_n_by_sort(sample, r_n):
+    """The least over arms of the (1 - r_n) order statistic, by a full sort."""
+    quantiles = []
+    for arm in (0, 1):
+        times = np.sort(sample.time[sample.arm == arm])
+        k = min(max(math.ceil((1.0 - r_n) * times.size), 1), times.size)
+        quantiles.append(times[k - 1])
+    return float(min(quantiles))
+
+
+# ---------------------------------------------------------------------------
+# Closed-form truths of the synthetic scenarios and discrete distributions.
+
+
+def true_cumulative_hazard(scenario, arm, x):
+    """The scenario's cumulative hazard of arm 0 (control) or 1 at x >= 0."""
+    if arm not in (0, 1):
+        raise ValueError(f"arm must be 0 (control) or 1 (treatment), got {arm!r}")
+    if np.any(np.asarray(x) < 0):
+        raise ValueError("x must be nonnegative")
+    f = scenario.cumulative_control if arm == 0 else scenario.cumulative_treatment
+    return f(x)
+
+
+def discrete_hazard(d: DiscreteDistribution) -> np.ndarray:
+    """Hazard at each support point: mass over survival just before it."""
+    rates = np.empty(len(d.masses))
+    seen = Fraction(0)
+    for j, m in enumerate(d.masses):
+        denom = 1 - seen
+        rates[j] = 0.0 if denom == 0 else float(m / denom)
+        seen += m
+    return rates
 
 
 # ---------------------------------------------------------------------------

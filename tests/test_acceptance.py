@@ -18,18 +18,17 @@ from scipy import stats
 
 from conftest import random_censored_sample
 from mhrfit import cli
-from mhrfit.gcm import lower_convex_hull
+from mhrfit.gcm import _lower_convex_hull
 from mhrfit.inference import ChernoffConfig, chernoff_table
 from mhrfit.mhr_estimator import fit_theta
-from mhrfit.simulation import (StudyConfig, run_study, sample_censoring,
-                               true_cumulative_hazard, make_scenario,
-                               _cum_base, _invert_cumulative)
+from mhrfit.simulation import (StudyConfig, run_study, _sample_censoring,
+                               make_scenario, _cum_base, _invert_cumulative)
 from mhrfit.stochastic_orders import (DiscreteDistribution, check_order,
                                       figure1_suite, order_report)
-from mhrfit.survival_core import (CensoredSample, hazard_increments,
+from mhrfit.survival_core import (CensoredSample, _hazard_increments,
                                   kaplan_meier)
 from oracles import (gcm_values_exact, gcm_vertices_exact, random_discrete,
-                     random_lr_chain, random_mhr_chain)
+                     random_lr_chain, random_mhr_chain, true_cumulative_hazard)
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -68,7 +67,7 @@ def test_criterion_02_gcm_matches_exact_oracle():
         us = rng.integers(0, 81, size=k) / 8.0
         vs = rng.integers(0, 81, size=k) / 8.0
         points = list(zip(us.tolist(), vs.tolist()))
-        fit = lower_convex_hull(us, vs)
+        fit = _lower_convex_hull(us, vs)
         got_vertices = [(Fraction(u), Fraction(v))
                         for u, v in zip(fit.u.tolist(), fit.v.tolist())]
         assert got_vertices == gcm_vertices_exact(points)
@@ -203,7 +202,7 @@ def test_criterion_07_cube_root_rate(shared_chernoff_cache, chernoff4000):
 
 def test_criterion_08_censoring_and_event_laws():
     rng = np.random.default_rng(8)
-    draws = sample_censoring(rng, size=100_000)
+    draws = _sample_censoring(rng, size=100_000)
     p = math.exp(-0.1) - math.exp(-0.15)
     hits = int(np.sum(draws == 1.0))
     se = math.sqrt(p * (1.0 - p) * draws.size)
@@ -224,7 +223,7 @@ def test_criterion_09_product_limit_identities():
         sample = random_censored_sample(rng)
         arm = i % 2
         km = kaplan_meier(sample, arm)
-        _, inc, _ = hazard_increments(sample, arm)
+        _, inc, _ = _hazard_increments(sample, arm)
         assert np.array_equal(km.survival, np.cumprod(1.0 - inc))
 
     times = np.sort(rng.uniform(0.1, 5.0, size=12))
@@ -232,7 +231,7 @@ def test_criterion_09_product_limit_identities():
         np.concatenate([times, [9.9]]),
         np.ones(13, dtype=int),
         np.array([0] * 12 + [1]))
-    _, inc, _ = hazard_increments(sample, 0)
+    _, inc, _ = _hazard_increments(sample, 0)
     assert np.array_equal(inc, 1.0 / np.arange(12, 0, -1))
 
 

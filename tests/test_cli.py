@@ -230,7 +230,7 @@ def refuse_to_read(path):
     (["estimate", "--rn", "soon"],
      "error: --rn must be 'auto' or a number, got 'soon'\n"),
     (["estimate", "--rn", "1.5"],
-     "error: fixed mode needs a fraction in (0, 1)\n"),
+     "error: --rn: fraction must lie in (0, 1), got 1.5\n"),
     (["diagnose", "--rn", "soon"],
      "error: --rn must be 'auto' or a number, got 'soon'\n")],
     ids=["grid-text", "grid-nan", "estimate-rn", "estimate-rn-range",

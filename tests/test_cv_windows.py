@@ -19,7 +19,7 @@ from mhrfit.kernel_baseline import (_cv_arrays, _cv_criterion,
                                     _default_candidates, cv_bandwidth_hazard)
 from mhrfit.mhr_estimator import fit_theta
 from mhrfit.simulation import generate_dataset, make_scenario
-from mhrfit.survival_core import CensoredSample, hazard_increments
+from mhrfit.survival_core import CensoredSample, _hazard_increments
 from oracles import dense_hazard_cv_score, dense_loo_predictions
 
 from test_kernel_baseline import exponential_sample
@@ -94,7 +94,7 @@ class TestHazardCriterion:
         times = np.concatenate([rng.exponential(1.0, n), [1.0]])
         arms = np.array([0] * n + [1])
         s = CensoredSample.from_arrays(times, np.ones(n + 1, dtype=int), arms)
-        candidates = _default_candidates(hazard_increments(s, 0)[0])
+        candidates = _default_candidates(_hazard_increments(s, 0)[0])
         tracemalloc.start()
         try:
             cv_bandwidth_hazard(s, 0, candidates)
@@ -155,7 +155,7 @@ def test_selection_matches_dense_oracle(scenario):
     for seed in range(10):
         s = generate_dataset(make_scenario(scenario), 200, 0.5, seed=(0, seed))
         for arm in (0, 1):
-            candidates = _default_candidates(hazard_increments(s, arm)[0])
+            candidates = _default_candidates(_hazard_increments(s, arm)[0])
             assert (cv_bandwidth_hazard(s, arm, candidates)
                     == oracle_hazard_bandwidth(s, arm, candidates))
         points, candidates = plugin_search_inputs(s)

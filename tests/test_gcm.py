@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mhrfit import gcm
 from mhrfit.gcm import (ConvexMinorantFit, gcm_of_composed_hazards,
-                        left_slope_at, lower_convex_hull)
+                        left_slope_at, _lower_convex_hull)
 from mhrfit.survival_core import StepFunction
 from oracles import (composed_values_on_grid, gcm_on_grid_pava,
                      gcm_values_exact, gcm_vertices_exact)
@@ -17,7 +17,7 @@ from oracles import (composed_values_on_grid, gcm_on_grid_pava,
 
 def hull_of(coords):
     coords = np.asarray(coords, dtype=float).reshape(-1, 2)
-    return lower_convex_hull(coords[:, 0], coords[:, 1])
+    return _lower_convex_hull(coords[:, 0], coords[:, 1])
 
 
 def vertices(fit):
@@ -42,7 +42,7 @@ class TestLowerConvexHull:
 
     def test_empty_input(self):
         with pytest.raises(ValueError, match="empty"):
-            lower_convex_hull([], [])
+            _lower_convex_hull([], [])
 
     def test_duplicate_abscissa_keeps_minimum(self):
         fit = hull_of([(0, 0), (1, 5), (1, 2), (2, 4)])
@@ -126,10 +126,10 @@ class TestPrefilteredHull:
     @example("collinear-float", 4096, 0)
     def test_equals_plain_sweep_bitwise(self, kind, size, seed):
         u, v = hull_points(kind, size, seed)
-        fast = lower_convex_hull(u, v)
+        fast = _lower_convex_hull(u, v)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(gcm, "_PREFILTER_MIN", np.inf)
-            plain = lower_convex_hull(u, v)
+            plain = _lower_convex_hull(u, v)
         for name in ("u", "v", "slopes"):
             assert getattr(fast, name).tobytes() == getattr(plain, name).tobytes()
 

@@ -9,12 +9,12 @@ import pytest
 from scipy.special import stdtrit
 from scipy.stats import t as student_t
 
-from mhrfit.gcm import lower_convex_hull
+from mhrfit.gcm import _lower_convex_hull
 from mhrfit import inference
 from mhrfit.inference import (DEFAULT_PROBABILITIES, ChernoffConfig,
                               ChernoffTable, ConfidenceInterval, SplitFit,
-                              _derivative_grid, chernoff_table, cv_bandwidth,
-                              estimate_tau, local_linear_slope, plugin_ci,
+                              _derivative_grid, _local_linear_slope,
+                              chernoff_table, cv_bandwidth, plugin_ci,
                               plugin_probability, plugin_scale, split_ci,
                               split_fit)
 from mhrfit.mhr_estimator import MhrFit, fit_theta, theta_at
@@ -26,7 +26,7 @@ SMALL_MC = ChernoffConfig(replications=400)
 
 def constant_theta_fit(value: float, gamma: float = 10.0) -> MhrFit:
     """Synthetic fit whose theta is a constant; enough for interval math."""
-    hull = lower_convex_hull([0.0, 1.0], [0.0, value])
+    hull = _lower_convex_hull([0.0, 1.0], [0.0, value])
     lam = StepFunction(np.array([gamma]), np.array([1.0]))
     theta = StepFunction(np.array([gamma]), np.array([value]),
                          value_at_zero=value)
@@ -119,27 +119,27 @@ class TestLocalLinearSlope:
         u = np.linspace(0.0, 1.0, 25)
         pts = np.column_stack([u, 2.0 * u])
         for h in (0.1, 0.3, 1.0):
-            assert local_linear_slope(pts, 0.5, h) == pytest.approx(2.0,
+            assert _local_linear_slope(pts, 0.5, h) == pytest.approx(2.0,
                                                                     abs=1e-10)
 
     def test_quadratic_derivative(self):
         u = np.linspace(0.0, 1.0, 2001)
         pts = np.column_stack([u, u * u])
-        assert local_linear_slope(pts, 0.5, 0.05) == pytest.approx(1.0,
+        assert _local_linear_slope(pts, 0.5, 0.05) == pytest.approx(1.0,
                                                                    abs=1e-2)
 
     def test_constant_data(self):
         u = np.linspace(0.0, 1.0, 25)
         pts = np.column_stack([u, np.ones_like(u)])
-        assert local_linear_slope(pts, 0.5, 0.2) == pytest.approx(0.0,
+        assert _local_linear_slope(pts, 0.5, 0.2) == pytest.approx(0.0,
                                                                   abs=1e-12)
 
     def test_window_too_small(self):
         pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
         with pytest.raises(ValueError, match="bandwidth too small"):
-            local_linear_slope(pts, 1.0, 0.5)
+            _local_linear_slope(pts, 1.0, 0.5)
         with pytest.raises(ValueError):
-            local_linear_slope(pts, 1.0, -1.0)
+            _local_linear_slope(pts, 1.0, -1.0)
 
 
 class TestCvBandwidth:
@@ -224,12 +224,12 @@ class TestEstimateTau:
     def test_flat_fit_gives_zero(self):
         s = identical_arms_sample()
         fit = fit_theta(s)
-        assert estimate_tau(fit, s, 1.0) == 0.0
+        assert plugin_scale(fit, s).tau(1.0) == 0.0
 
     def test_matches_bracket_oracle(self, linear_sample_800):
         fit = fit_theta(linear_sample_800)
         x = 1.0
-        tau = estimate_tau(fit, linear_sample_800, x)
+        tau = plugin_scale(fit, linear_sample_800).tau(x)
         # rebuild the derivative with the public pieces, then compare the
         # remaining factors against O(n^2) product-limit loops
         m = math.ceil(round(linear_sample_800.n ** (2 / 3), 9))
@@ -241,7 +241,7 @@ class TestEstimateTau:
         assert np.array_equal(_derivative_grid(fit, linear_sample_800.n)[0], pts)
         h = cv_bandwidth(pts, np.geomspace(4.0 * fit.eta_n / m,
                                            fit.eta_n / 2.0, 20))
-        deriv = max(local_linear_slope(pts, fit.lambda_T_hat(x), h), 0.0)
+        deriv = max(_local_linear_slope(pts, fit.lambda_T_hat(x), h), 0.0)
         bracket = tau_bracket_oracle(linear_sample_800, x,
                                      theta_at(fit, x))
         assert tau ** 3 == pytest.approx(4.0 * deriv * bracket, rel=1e-10)
@@ -254,15 +254,15 @@ class TestEstimateTau:
                                               linear_sample_800.arm[perm])
         fit_a = fit_theta(linear_sample_800)
         fit_b = fit_theta(shuffled)
-        assert (estimate_tau(fit_a, linear_sample_800, 0.8)
-                == estimate_tau(fit_b, shuffled, 0.8))
+        assert (plugin_scale(fit_a, linear_sample_800).tau(0.8)
+                == plugin_scale(fit_b, shuffled).tau(0.8))
 
     def test_x_domain(self, linear_sample_800):
         fit = fit_theta(linear_sample_800)
         with pytest.raises(ValueError):
-            estimate_tau(fit, linear_sample_800, 0.0)
+            plugin_scale(fit, linear_sample_800).tau(0.0)
         with pytest.raises(ValueError):
-            estimate_tau(fit, linear_sample_800, fit.gamma_n)
+            plugin_scale(fit, linear_sample_800).tau(fit.gamma_n)
 
     def test_small_sample_grid_refused(self):
         rng = np.random.default_rng(8)
@@ -271,7 +271,7 @@ class TestEstimateTau:
         s = CensoredSample.from_arrays(times, np.ones(20, dtype=int), arms)
         fit = fit_theta(s)
         with pytest.raises(ValueError, match="too small"):
-            estimate_tau(fit, s, 0.9 * fit.gamma_n)
+            plugin_scale(fit, s).tau(0.9 * fit.gamma_n)
 
     def test_zero_survival_factor_refused(self, linear_sample_800):
         fit = fit_theta(linear_sample_800)
@@ -280,7 +280,7 @@ class TestEstimateTau:
             np.ones(32, dtype=int),
             np.tile([0, 1], 16))
         with pytest.raises(ValueError, match="scale undefined"):
-            estimate_tau(fit, tiny, 0.9)
+            plugin_scale(fit, tiny).tau(0.9)
 
 
 class TestPluginCi:
@@ -288,7 +288,7 @@ class TestPluginCi:
         fit = fit_theta(linear_sample_800)
         x = 1.0
         ci = plugin_ci(fit, linear_sample_800, x, 0.05, chernoff4000)
-        tau = estimate_tau(fit, linear_sample_800, x)
+        tau = plugin_scale(fit, linear_sample_800).tau(x)
         q = chernoff4000.quantile(0.975)
         half = tau * q / np.cbrt(linear_sample_800.n)
         assert ci.method == "plugin"
@@ -329,7 +329,7 @@ class TestPluginScale:
             alone = plugin_ci(fit, s, x, 0.05, chernoff4000)
             assert shared.lower.hex() == alone.lower.hex()
             assert shared.upper.hex() == alone.upper.hex()
-            assert scale.tau(x) == estimate_tau(fit, s, x)
+            assert scale.tau(x) == plugin_scale(fit, s).tau(x)
 
     def test_flat_fit_zero_width_with_shared_scale(self, chernoff4000):
         s = identical_arms_sample()

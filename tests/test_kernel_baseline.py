@@ -7,11 +7,11 @@ from scipy.special import ndtri
 from scipy.stats import norm
 
 from mhrfit.inference import DEFAULT_PROBABILITIES
-from mhrfit.kernel_baseline import (cv_bandwidth_hazard, fit_smoothed_hazard,
+from mhrfit.kernel_baseline import (SmoothedHazard, cv_bandwidth_hazard,
                                     smooth_hr_ci, smooth_hr_fit,
                                     _cv_arrays, _cv_criterion,
                                     _default_candidates)
-from mhrfit.survival_core import (CensoredSample, hazard_increments,
+from mhrfit.survival_core import (CensoredSample, _hazard_increments,
                                   nelson_aalen)
 
 
@@ -25,28 +25,27 @@ def exponential_sample(rng, n_per_arm, rate0=1.0, rate1=1.0, cens=0.3):
     return CensoredSample.from_arrays(times, status, arms)
 
 
+def smoothed(sample, arm, bandwidth):
+    """One arm's smoothed hazard at a given bandwidth."""
+    return SmoothedHazard(arm, bandwidth, *_hazard_increments(sample, arm))
+
+
 class TestSmoothedHazard:
     def test_rate_is_kernel_weighted_increments(self):
         rng = np.random.default_rng(0)
         s = exponential_sample(rng, 60)
-        fit = fit_smoothed_hazard(s, 0, 0.4)
-        times, inc, _ = hazard_increments(s, 0)
+        fit = smoothed(s, 0, 0.4)
+        times, inc, _ = _hazard_increments(s, 0)
         x = 0.9
         t = (times - x) / 0.4
         weights = np.where(np.abs(t) < 1.0, 0.75 * (1.0 - t * t), 0.0) / 0.4
         assert fit.rate(x) == pytest.approx(float(weights @ inc), rel=1e-12)
-        assert fit_smoothed_hazard(s, 0, 0.4).rate(x) == fit.rate(x)
-
-    def test_bandwidth_validation(self):
-        rng = np.random.default_rng(1)
-        s = exponential_sample(rng, 20)
-        with pytest.raises(ValueError, match="bandwidth must be positive"):
-            fit_smoothed_hazard(s, 0, 0.0)
+        assert smoothed(s, 0, 0.4).rate(x) == fit.rate(x)
 
     def test_rate_nonnegative_everywhere(self):
         rng = np.random.default_rng(2)
         s = exponential_sample(rng, 80)
-        fit = fit_smoothed_hazard(s, 1, 0.3)
+        fit = smoothed(s, 1, 0.3)
         grid = np.linspace(0.0, 4.0, 200)
         assert all(fit.rate(x) >= 0.0 for x in grid)
 
@@ -55,7 +54,7 @@ class TestSmoothedHazard:
         # rate should track the Nelson-Aalen difference
         rng = np.random.default_rng(3)
         s = exponential_sample(rng, 4000)
-        fit = fit_smoothed_hazard(s, 0, 0.1)
+        fit = smoothed(s, 0, 0.1)
         grid = np.linspace(0.3, 1.2, 400)
         integral = np.trapezoid([fit.rate(x) for x in grid], grid)
         na = nelson_aalen(s, 0)
@@ -67,14 +66,14 @@ class TestSmoothedHazard:
         times = np.concatenate([rng.exponential(1.0, n), [1.0]])
         arms = np.array([0] * n + [1])
         s = CensoredSample.from_arrays(times, np.ones(n + 1, dtype=int), arms)
-        ev, _, _ = hazard_increments(s, 0)
+        ev, _, _ = _hazard_increments(s, 0)
         h = cv_bandwidth_hazard(s, 0, _default_candidates(ev))
-        assert abs(fit_smoothed_hazard(s, 0, h).rate(0.5) - 1.0) < 0.15
+        assert abs(smoothed(s, 0, h).rate(0.5) - 1.0) < 0.15
 
     def test_variance_nonnegative(self):
         rng = np.random.default_rng(4)
         s = exponential_sample(rng, 80)
-        fit = fit_smoothed_hazard(s, 1, 0.5)
+        fit = smoothed(s, 1, 0.5)
         for x in (0.3, 0.8, 1.4):
             assert fit.variance(x) >= 0.0
 
@@ -83,7 +82,7 @@ class TestBandwidthSelection:
     def test_selected_minimizes_criterion_on_grid(self):
         rng = np.random.default_rng(7)
         s = exponential_sample(rng, 150)
-        ev, _, _ = hazard_increments(s, 0)
+        ev, _, _ = _hazard_increments(s, 0)
         times, inc, y = _cv_arrays(s, 0)
         candidates = _default_candidates(ev)
         h = cv_bandwidth_hazard(s, 0, candidates)
@@ -93,7 +92,7 @@ class TestBandwidthSelection:
             <= scores.min() + 1e-9
         fit = smooth_hr_fit(s)
         for arm in (0, 1):
-            arm_ev, _, _ = hazard_increments(s, arm)
+            arm_ev, _, _ = _hazard_increments(s, arm)
             assert fit[arm].bandwidth == cv_bandwidth_hazard(
                 s, arm, _default_candidates(arm_ev))
 

@@ -5,31 +5,33 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import random_censored_sample
-from mhrfit.gcm import lower_convex_hull
+from mhrfit.gcm import _lower_convex_hull
 from mhrfit.mhr_estimator import (MhrFit, TruncationPolicy, diagnostic_curve,
                                   fit_theta, gamma_n, theta_at,
-                                  truncation_fraction)
+                                  _truncation_fraction)
 from mhrfit.survival_core import CensoredSample
+from oracles import gamma_n_by_sort
 
 
 class TestTruncationPolicy:
     def test_recommended_small_n(self):
-        assert truncation_fraction(500) == 0.05
-        assert truncation_fraction(999) == 0.05
+        assert _truncation_fraction(500) == 0.05
+        assert _truncation_fraction(999) == 0.05
 
     def test_recommended_large_n(self):
-        assert truncation_fraction(1000) == math.log(1000) ** 2.1 / 1000
-        assert truncation_fraction(1000) == pytest.approx(0.0579, abs=2e-4)
-        assert truncation_fraction(10 ** 6) == pytest.approx(2.48e-4, rel=5e-3)
+        assert _truncation_fraction(1000) == math.log(1000) ** 2.1 / 1000
+        assert _truncation_fraction(1000) == pytest.approx(0.0579, abs=2e-4)
+        assert _truncation_fraction(10 ** 6) == pytest.approx(2.48e-4, rel=5e-3)
 
     def test_fixed_mode(self):
-        policy = TruncationPolicy.fixed(0.2)
-        assert truncation_fraction(10, policy) == 0.2
-        assert truncation_fraction(10 ** 6, policy) == 0.2
+        policy = TruncationPolicy(0.2)
+        assert _truncation_fraction(10, policy) == 0.2
+        assert _truncation_fraction(10 ** 6, policy) == 0.2
         with pytest.raises(ValueError):
-            TruncationPolicy.fixed(0.0)
+            TruncationPolicy(0.0)
 
 
 class TestGammaN:
@@ -59,6 +61,17 @@ class TestGammaN:
             gamma_n(s, 0.0)
         with pytest.raises(ValueError):
             gamma_n(s, 1.0)
+
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=40),
+           st.lists(st.integers(0, 5), min_size=1, max_size=40),
+           st.floats(0.001, 0.999))
+    def test_matches_full_sort_bitwise(self, arm0, arm1, r_n):
+        # times from a few values, so the order statistic sits among ties
+        times = np.array(arm0 + arm1) / 4.0
+        arms = np.array([0] * len(arm0) + [1] * len(arm1))
+        s = CensoredSample.from_arrays(times, np.ones(times.size, dtype=int),
+                                       arms)
+        assert gamma_n(s, r_n).hex() == gamma_n_by_sort(s, r_n).hex()
 
 
 class TestFitTheta:
@@ -100,7 +113,7 @@ class TestFitTheta:
             np.array([1, 0, 0, 0, 1]),
             np.array([0, 0, 0, 0, 1]))
         with pytest.raises(ValueError, match="degenerate fit"):
-            fit_theta(s, TruncationPolicy.fixed(0.5))
+            fit_theta(s, TruncationPolicy(0.5))
 
 
 class TestThetaAt:
@@ -135,7 +148,7 @@ class TestDiagnosticCurve:
         n_events = np.unique(t[(d == 1) & (t <= fit.gamma_n)]).size
         assert len(u) == n_events + 1
         # the returned hull is the fit's minorant and the hull of the points
-        rebuilt = lower_convex_hull(u, v)
+        rebuilt = _lower_convex_hull(u, v)
         for got, want in ((hull.u, rebuilt.u), (hull.v, rebuilt.v),
                           (hull.slopes, rebuilt.slopes),
                           (hull.slopes, fit.hull.slopes)):

@@ -13,9 +13,9 @@ from mhrfit import inference, simulation
 from mhrfit.inference import ChernoffConfig
 from mhrfit.simulation import (MetricCell, StudyConfig, StudyMetrics,
                                generate_dataset, make_scenario, run_study,
-                               sample_censoring,
-                               true_cumulative_hazard, _aggregate, _cum_base,
+                               _sample_censoring, _aggregate, _cum_base,
                                _invert_cumulative)
+from oracles import true_cumulative_hazard
 
 SCENARIOS = ("linear", "convex", "concave")
 
@@ -97,7 +97,7 @@ class TestInversion:
 class TestCensoring:
     def test_range_and_atoms(self):
         rng = np.random.default_rng(3)
-        draws = sample_censoring(rng, size=100_000)
+        draws = _sample_censoring(rng, size=100_000)
         assert draws.min() > 0.0
         assert draws.max() <= 2.0
         p1 = math.exp(-0.1) - math.exp(-0.15)
@@ -109,7 +109,7 @@ class TestCensoring:
 
     def test_continuous_piece(self):
         rng = np.random.default_rng(4)
-        draws = sample_censoring(rng, size=100_000)
+        draws = _sample_censoring(rng, size=100_000)
         p = 1.0 - math.exp(-0.05)
         hits = int(np.sum(draws <= 0.5))
         se = math.sqrt(p * (1 - p) * draws.size)

@@ -8,11 +8,11 @@ import pytest
 from scipy import stats
 
 from mhrfit.stochastic_orders import (DiscreteDistribution, OrderVerdict,
-                                      check_order, discrete_hazard,
-                                      figure1_suite, order_report,
-                                      parametric_hazard_ratio,
+                                      check_order, figure1_suite,
+                                      order_report, parametric_hazard_ratio,
                                       truncated_geometric)
-from oracles import random_discrete, random_lr_pair, random_mhr_chain
+from oracles import (discrete_hazard, random_discrete, random_lr_pair,
+                     random_mhr_chain)
 
 F = Fraction
 
@@ -46,11 +46,6 @@ class TestDiscreteDistribution:
         d = DiscreteDistribution.from_pairs([(3, F(1, 4)), (1, F(3, 4))])
         assert d.support == (1.0, 3.0)
         assert d.masses == (F(3, 4), F(1, 4))
-
-    def test_mass_at(self):
-        d = uniform_on((1, 2, 5))
-        assert d.mass_at(2.0) == F(1, 3)
-        assert d.mass_at(4.0) == 0
 
 
 class TestTruncatedGeometric:

@@ -7,10 +7,10 @@ from hypothesis import given, strategies as st
 
 from conftest import random_censored_sample
 from mhrfit.survival_core import (CensoredSample, StepFunction,
-                                  generalized_inverse, hazard_increments,
+                                  generalized_inverse, _hazard_increments,
                                   kaplan_meier, nelson_aalen,
                                   reverse_kaplan_meier)
-from oracles import naive_survival_curves
+from oracles import increments_by_unique, naive_survival_curves
 
 
 def one_arm(times, status, arm=0):
@@ -152,7 +152,7 @@ class TestNelsonAalen:
         rng = np.random.default_rng(3)
         times = rng.uniform(0.0, 5.0, size=12)
         s = one_arm(times, np.ones(12, dtype=int))
-        _, inc, _ = hazard_increments(s, 0)
+        _, inc, _ = _hazard_increments(s, 0)
         expected = 1.0 / np.arange(12, 0, -1)
         assert np.array_equal(inc, expected)
 
@@ -183,7 +183,7 @@ class TestKaplanMeier:
                 if not np.any(status == 1):
                     continue
                 km = kaplan_meier(s, arm)
-                _, inc, _ = hazard_increments(s, arm)
+                _, inc, _ = _hazard_increments(s, arm)
                 assert np.array_equal(km.survival, np.cumprod(1.0 - inc))
 
     def test_survival_left_limit(self):
@@ -216,3 +216,36 @@ class TestReverseKaplanMeier:
             b = kaplan_meier(flipped, arm)
             assert np.array_equal(a.survival, b.survival)
             assert np.array_equal(a.knots, b.knots)
+
+
+# Rows of (time, status, arm) with times from a few values, so ties abound.
+tied_rows = st.lists(
+    st.tuples(st.integers(0, 5).map(lambda k: k / 4.0), st.integers(0, 1),
+              st.integers(0, 1)),
+    min_size=1, max_size=80)
+
+
+class TestMatchesUniqueForm:
+    """The curves are bitwise those of the np.unique form of the increments."""
+
+    @given(tied_rows)
+    def test_curves_bitwise(self, rows):
+        times, status, arms = (np.array(col) for col in zip(*rows))
+        s = CensoredSample.from_arrays(times, status, arms)
+        for arm in (0, 1):
+            t, d = s.arm_arrays(arm)
+            if t.size == 0:
+                continue
+            if d.any():
+                knots, inc, _ = increments_by_unique(t, d)
+                na = nelson_aalen(s, arm)
+                assert na.knots.tobytes() == knots.tobytes()
+                assert na.values.tobytes() == np.cumsum(inc).tobytes()
+                km = kaplan_meier(s, arm)
+                assert km.knots.tobytes() == knots.tobytes()
+                assert km.survival.tobytes() == np.cumprod(1.0 - inc).tobytes()
+            if not d.all():
+                knots, inc, _ = increments_by_unique(t, 1 - d)
+                rkm = reverse_kaplan_meier(s, arm)
+                assert rkm.knots.tobytes() == knots.tobytes()
+                assert rkm.survival.tobytes() == np.cumprod(1.0 - inc).tobytes()
