@@ -32,7 +32,7 @@ from .mhr_estimator import (TruncationPolicy, diagnostic_curve, fit_theta,
                             theta_at)
 from .simulation import SCENARIOS, StudyConfig, run_study
 from .stochastic_orders import DiscreteDistribution, figure1_suite, order_report
-from .survival_core import CensoredSample, first_invalid_row
+from .survival_core import CensoredSample, _first_invalid_row
 
 __all__ = ["main", "cmd_estimate", "cmd_diagnose",
            "cmd_simulate", "cmd_order_check", "cmd_chernoff"]
@@ -103,14 +103,14 @@ def _write_manifest(out_dir: str, command: str, args, inputs, outputs) -> None:
 
 
 def _open_csv(path: str, header: list):
-    """The open file and its reader, positioned after an exact header row."""
+    """The open file and its records, positioned after an exact header row."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise InputError(str(exc)) from exc
-    reader = csv.reader(fh)
+    records = _records(path, csv.reader(fh))
     try:
-        first = next(reader, None)
+        first = next(records, None)
         if first is None:
             raise InputError(f"{path}: empty file")
         if [h.strip() for h in first] != header:
@@ -118,15 +118,26 @@ def _open_csv(path: str, header: list):
     except BaseException:
         fh.close()
         raise
-    return fh, reader
+    return fh, records
+
+
+def _records(path: str, reader):
+    """The reader's rows; an undecodable byte or oversized cell is an input error."""
+    try:
+        yield from reader
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8: cannot decode byte "
+                         f"0x{exc.object[exc.start]:02x}") from exc
+    except csv.Error as exc:
+        raise InputError(f"{path}: line {reader.line_num}: {exc}") from exc
 
 
 def _csv_rows(path: str, header: list):
     """Yield (line number, fields) for each nonblank row under an exact header."""
-    fh, reader = _open_csv(path, header)
+    fh, records = _open_csv(path, header)
     empty = True
     with fh:
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(records, start=2):
             # blank when every cell is; a filled first cell settles it
             if not row or (not row[0].strip()
                            and all(not cell.strip() for cell in row)):
@@ -151,7 +162,7 @@ _LINE_END = re.compile(rb"[\r\n]")
 
 
 def _parse_rows(path: str) -> tuple:
-    """The sample's columns, row by row; the source of every input message."""
+    """The sample's columns and their line numbers; the source of parse messages."""
     times, status, arms, linenos = [], [], [], []
     for lineno, row in _csv_rows(path, _SAMPLE_HEADER):
         try:
@@ -161,26 +172,23 @@ def _parse_rows(path: str) -> tuple:
         except ValueError as exc:
             raise InputError(f"{path}: line {lineno}: {exc}") from exc
         linenos.append(lineno)
-    columns = np.asarray(times), np.asarray(status), np.asarray(arms)
-    invalid = first_invalid_row(*columns)
-    if invalid is not None:
-        index, message = invalid
-        raise InputError(f"{path}: line {linenos[index]}: {message}")
-    return columns
+    return (np.asarray(times), np.asarray(status), np.asarray(arms)), linenos
 
 
 def _load_columns(path: str):
     """The sample's columns from one numpy parse, or None if it is not clean.
 
-    None means the row parser must decide: a character outside
-    `_PLAIN_CELLS` after the header line, any exception or warning of the
-    parse, no rows, or a row breaking a value rule.
+    None means the row parser must read the file: a character outside
+    `_PLAIN_CELLS` after the header line, a line longer than the row
+    parser's cell limit, or any exception or warning of the parse.
     """
     _open_csv(path, _SAMPLE_HEADER)[0].close()  # the row parser's header check
     with open(path, "rb") as fh:
         raw = fh.read()
     header_end = _LINE_END.search(raw)
-    if header_end is None or raw[header_end.start():].translate(None, _PLAIN_CELLS):
+    if (header_end is None
+            or raw[header_end.start():].translate(None, _PLAIN_CELLS)
+            or _has_long_line(raw, csv.field_size_limit())):
         return None
     del raw
     with warnings.catch_warnings():
@@ -195,18 +203,39 @@ def _load_columns(path: str):
             raise
         except Exception:
             return None
-    columns = table["time"], table["status"], table["arm"]
-    if table.size == 0 or first_invalid_row(*columns) is not None:
-        return None
-    return columns
+    return table["time"], table["status"], table["arm"]
+
+
+def _has_long_line(raw: bytes, limit: int) -> bool:
+    """Whether a line of raw is longer than limit, found in len/limit steps.
+
+    From each line start, the last line end within the next limit + 1
+    bytes starts the next step; a window without one holds a long line.
+    """
+    start = 0
+    while len(raw) - start > limit:
+        end = max(raw.rfind(b"\n", start, start + limit + 1),
+                  raw.rfind(b"\r", start, start + limit + 1))
+        if end < 0:
+            return True
+        start = end + 1
+    return False
 
 
 def _read_sample(path: str) -> CensoredSample:
-    """Parse the CSV in one numpy call; the row parser takes what it refuses."""
+    """Parse the CSV in one numpy call; the row parser reads what either refuses."""
     columns = _load_columns(path)
-    if columns is None:
-        columns = _parse_rows(path)
-    return CensoredSample.from_arrays(*columns)
+    if columns is not None:
+        try:
+            return CensoredSample.from_arrays(*columns)
+        except ValueError:
+            pass  # a parse error anywhere wins over the first bad row's line
+    columns, linenos = _parse_rows(path)
+    try:
+        return CensoredSample.from_arrays(*columns)
+    except ValueError as exc:
+        index, message = _first_invalid_row(*columns)
+        raise InputError(f"{path}: line {linenos[index]}: {message}") from exc
 
 
 def _parse_policy(text: str) -> TruncationPolicy:

@@ -520,7 +520,10 @@ class SplitFit:
     """Fits on m random disjoint subsets, evaluable at any x."""
 
     fits: tuple[MhrFit, ...]
-    m: int
+
+    @property
+    def m(self) -> int:
+        return len(self.fits)
 
     def estimates_at(self, x: float) -> list[float]:
         short = [f.gamma_n for f in self.fits if f.gamma_n < x]
@@ -547,7 +550,7 @@ def split_fit(sample: CensoredSample, m: int,
             fits.append(fit_theta(sub, policy))
         except ValueError as exc:
             raise ValueError("split degenerate; reduce m") from exc
-    return SplitFit(fits=tuple(fits), m=m)
+    return SplitFit(fits=tuple(fits))
 
 
 def split_ci(splitfit: SplitFit, x: float, alpha: float) -> ConfidenceInterval:

@@ -61,6 +61,8 @@ class DiscreteDistribution:
         if len(self.support) != len(self.masses):
             raise ValueError("support and masses differ in length")
         sup = tuple(float(t) for t in self.support)
+        if not np.all(np.isfinite(sup)):
+            raise ValueError("support points must be finite")
         if any(b <= a for a, b in zip(sup, sup[1:])):
             raise ValueError("support must be strictly increasing")
         masses = tuple(_to_fraction(m) for m in self.masses)

@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "CensoredSample",
-    "first_invalid_row",
     "StepFunction",
     "SurvivalCurve",
     "generalized_inverse",
@@ -48,7 +47,7 @@ class CensoredSample:
             raise ValueError("time, status and arm must be 1-d columns of equal length")
         if time.size < 1:
             raise ValueError("sample must contain at least one observation")
-        invalid = first_invalid_row(time, status, arm)
+        invalid = _first_invalid_row(time, status, arm)
         if invalid is not None:
             raise ValueError(invalid[1])
         columns = {"time": time, "status": status.astype(np.int64),
@@ -77,7 +76,7 @@ class CensoredSample:
         return self.time[mask], self.status[mask]
 
 
-def first_invalid_row(time, status, arm):
+def _first_invalid_row(time, status, arm):
     """(index, message) for the first row breaking a value rule, else None.
 
     The rules: time is finite and nonnegative, status and arm are exactly

@@ -497,6 +497,32 @@ class TestOrderCheck:
         a = write_mass_csv(tmp_path / "u.csv", [(1, "1.0")])
         assert cli.main(["order-check", str(a)]) == 2
 
+    def test_nan_support_point(self, tmp_path, capsys):
+        a = write_mass_csv(tmp_path / "nan.csv", [(1.0, "0.5"), ("nan", "0.5")])
+        b = write_mass_csv(tmp_path / "u.csv", [(1, "0.5"), (2, "0.5")])
+        assert cli.main(["order-check", str(a), str(b)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {a}: support points must be finite\n")
+
+
+@pytest.mark.parametrize("command", ["estimate", "diagnose", "order-check"])
+@pytest.mark.parametrize("cell,message", [
+    (b"\xff\xfe", "not UTF-8: cannot decode byte 0xff"),
+    (b"1" * 131073, "line 3: field larger than field limit (131072)")],
+    ids=["not-utf8", "oversized-cell"])
+def test_unreadable_csv_is_an_input_error(tmp_path, capsys, command, cell,
+                                          message):
+    bad = tmp_path / "bad.csv"
+    if command == "order-check":
+        bad.write_bytes(b"support,mass\n1.0,0.5\n" + cell + b",0.5\n")
+        good = write_mass_csv(tmp_path / "u.csv", [(1, "1.0")])
+        argv = [command, str(bad), str(good)]
+    else:
+        bad.write_bytes(b"time,status,arm\n1.5,1,0\n" + cell + b",1,0\n")
+        argv = [command, "--input", str(bad), "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
 
 class TestChernoffCommand:
     def test_table_file(self, tmp_path, capsys):

@@ -1,8 +1,8 @@
 """The CLI's fast input and output paths against their plain references.
 
 `estimate` and `diagnose` read a sample CSV with one `np.loadtxt` call and
-hand every file it does not parse cleanly to the row parser, which owns
-the messages.  `fit.json` and `manifest.json` come from a writer that must
+hand every file that it does not parse cleanly, or whose values the sample
+type refuses, to the row parser, which owns the messages.  `fit.json` and `manifest.json` come from a writer that must
 produce exactly the bytes of `json.dumps(obj, indent=2, sort_keys=True)`.
 """
 from __future__ import annotations
@@ -14,17 +14,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mhrfit import cli
+from mhrfit import cli, survival_core
 
 HEADER = "time,status,arm"
 
 
 def outcome(read, path):
-    """("ok", columns) or ("error", exception type, message) of one reader."""
+    """("ok", result) or ("error", message) of one reader.
+
+    An input error is the only failure a reader may give; anything else
+    propagates and fails the test.
+    """
     try:
         return ("ok", read(path))
-    except Exception as exc:  # any failure is compared, not judged
-        return ("error", type(exc), str(exc))
+    except cli.InputError as exc:
+        return ("error", str(exc))
 
 
 def same_columns(a, b):
@@ -33,35 +37,42 @@ def same_columns(a, b):
                == np.ascontiguousarray(y).tobytes() for x, y in zip(a, b))
 
 
+def sample_columns(result):
+    """A reader's outcome with the sample replaced by its three columns."""
+    if result[0] == "ok":
+        sample = result[1]
+        return ("ok", (sample.time, sample.status, sample.arm))
+    return result
+
+
 def check_file(path):
     """The numpy path agrees with the row parser wherever it answers.
 
-    Its columns, when it gives any, equal the row parser's bitwise and in
-    dtype.  The whole reader then gives the row parser's columns or its
-    exact error.
+    Numpy's columns, when it gives any, equal the row parser's bitwise
+    and in dtype.  The whole reader gives exactly what it gives with the
+    numpy path switched off: the same sample columns or the same input
+    error, and no other kind of failure.  Returns whether numpy answered.
     """
-    rows = outcome(cli._parse_rows, path)
     fast = outcome(cli._load_columns, path)
-    if fast[0] == "ok" and fast[1] is not None:
+    answered = fast[0] == "ok" and fast[1] is not None
+    if answered:
+        rows = outcome(cli._parse_rows, path)
         assert rows[0] == "ok", rows
-        assert same_columns(fast[1], rows[1])
-    elif fast[0] == "error":
-        # only the shared header check raises on this path
-        assert fast == rows
-    whole = outcome(cli._read_sample, path)
-    if rows[0] == "ok":
-        sample = whole[1]
-        assert same_columns((sample.time, sample.status, sample.arm),
-                            (rows[1][0], rows[1][1].astype(np.int64),
-                             rows[1][2].astype(np.int64)))
+        assert same_columns(fast[1], rows[1][0])
+    whole = sample_columns(outcome(cli._read_sample, path))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_load_columns", lambda path: None)
+        by_rows = sample_columns(outcome(cli._read_sample, path))
+    if whole[0] == by_rows[0] == "ok":
+        assert same_columns(whole[1], by_rows[1])
     else:
-        assert whole == rows
-    return fast[0] == "ok" and fast[1] is not None
+        assert whole == by_rows
+    return answered
 
 
 def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     return str(path)
 
 
@@ -114,6 +125,12 @@ FALLBACK = {
     "letter-as-digit": "time,status,arm\n1.5,1\u01fe,0\n",
     "header-without-newline": "time,status,arm",
     "cr-header-then-quote": 'time,status,arm\r"1.5",1,0\r',
+    "not-utf8": b"time,status,arm\n1.5,1,0\n\xff\xfe,1,0\n",
+    # cells longer than the csv module's limit: the first numpy reads as
+    # inf, the second as 1.0, which the row parser must still refuse
+    "oversized-cell": "time,status,arm\n1.5,1,0\n" + "1" * 131073 + ",1,0\n",
+    "oversized-padded-cell": ("time,status,arm\n1.5,1,1\n" + "0" * 131072
+                              + "1,1,0\n"),
 }
 
 
@@ -138,6 +155,34 @@ def test_fallback_messages_and_codes_match_the_row_parser(
     monkeypatch.setattr(cli, "_load_columns", lambda path: None)
     assert (code, err) == (cli.main(argv), capsys.readouterr().err)
     assert code == 2 and err.startswith(f"error: {path}: ")
+
+
+def test_clean_file_runs_the_value_rules_once(tmp_path, monkeypatch):
+    calls = []
+    rules = survival_core._first_invalid_row
+
+    def counted(*columns):
+        calls.append(len(columns[0]))
+        return rules(*columns)
+
+    monkeypatch.setattr(survival_core, "_first_invalid_row", counted)
+    monkeypatch.setattr(cli, "_first_invalid_row", counted)
+    cli._read_sample(write(tmp_path, CLEAN["plain"]))
+    assert calls == [2]
+
+
+def test_value_rule_names_the_first_bad_row(tmp_path):
+    path = write(tmp_path, "time,status,arm\n1.5,1,0\n\n2.0,2,0\n-1,1,0\n")
+    with pytest.raises(cli.InputError) as exc:
+        cli._read_sample(path)
+    assert str(exc.value) == f"{path}: line 4: status must be 0 or 1, got 2"
+
+
+@given(st.binary(max_size=40).map(lambda b: b.replace(b"\x00", b"\n")),
+       st.integers(0, 12))
+def test_long_line_gate_matches_the_line_lengths(raw, limit):
+    lines = raw.replace(b"\r", b"\n").split(b"\n")
+    assert cli._has_long_line(raw, limit) == (max(map(len, lines)) > limit)
 
 
 CELLS = ["0", "1", "2", "-1", "+1", "-0", "01", "1.0", "0.0", "2.5", ".5",

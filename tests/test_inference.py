@@ -386,7 +386,7 @@ class TestPluginScale:
 class TestSplitFit:
     def test_pinned_pooled_and_sd(self):
         fits = tuple(constant_theta_fit(v) for v in (1.0, 1.2, 0.8, 1.1, 0.9))
-        sf = SplitFit(fits=fits, m=5)
+        sf = SplitFit(fits=fits)
         ci = split_ci(sf, 2.0, 0.05)
         assert ci.estimate == pytest.approx(1.0)
         sd = (ci.upper - ci.estimate) * math.sqrt(5) / student_t.ppf(0.975, 4)
@@ -403,20 +403,20 @@ class TestSplitFit:
         assert np.array_equal(stdtrit(df, p), student_t.ppf(p, df))
 
     def test_identical_splits_zero_width(self):
-        sf = SplitFit(fits=(constant_theta_fit(1.3),) * 5, m=5)
+        sf = SplitFit(fits=(constant_theta_fit(1.3),) * 5)
         ci = split_ci(sf, 1.0, 0.05)
         assert ci.lower == ci.estimate == ci.upper == 1.3
 
     def test_wider_alpha_narrower_interval(self):
         fits = tuple(constant_theta_fit(v) for v in (1.0, 1.2, 0.8, 1.1, 0.9))
-        sf = SplitFit(fits=fits, m=5)
+        sf = SplitFit(fits=fits)
         a = split_ci(sf, 1.0, 0.05)
         b = split_ci(sf, 1.0, 0.2)
         assert b.upper - b.lower < a.upper - a.lower
 
     def test_short_split_refused(self):
         fits = (constant_theta_fit(1.0, gamma=0.5), constant_theta_fit(1.1))
-        sf = SplitFit(fits=fits, m=2)
+        sf = SplitFit(fits=fits)
         with pytest.raises(ValueError, match="usable splits"):
             split_ci(sf, 1.0, 0.05)
 

@@ -37,6 +37,11 @@ class TestDiscreteDistribution:
         with pytest.raises(TypeError):
             DiscreteDistribution((1,), (object(),))
 
+    @pytest.mark.parametrize("point", [np.nan, np.inf, -np.inf])
+    def test_non_finite_support_refused(self, point):
+        with pytest.raises(ValueError, match="support points must be finite"):
+            DiscreteDistribution((1.0, point), (F(1, 2), F(1, 2)))
+
     def test_near_one_total_within_tolerance(self):
         eps = F(1, 10 ** 13)
         d = DiscreteDistribution((1, 2), (F(1, 2), F(1, 2) - eps))
