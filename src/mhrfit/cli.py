@@ -31,7 +31,8 @@ from .inference import (ChernoffConfig, chernoff_table, plugin_ci,
 from .mhr_estimator import (TruncationPolicy, diagnostic_curve, fit_theta,
                             theta_at)
 from .simulation import SCENARIOS, StudyConfig, run_study
-from .stochastic_orders import DiscreteDistribution, figure1_suite, order_report
+from .stochastic_orders import (DiscreteDistribution, _separation_pairs,
+                                figure1_suite, order_report)
 from .survival_core import CensoredSample, _first_invalid_row
 
 __all__ = ["main", "cmd_estimate", "cmd_diagnose",
@@ -113,7 +114,7 @@ def _open_csv(path: str, header: list):
         first = next(records, None)
         if first is None:
             raise InputError(f"{path}: empty file")
-        if [h.strip() for h in first] != header:
+        if [h.strip() for h in first[1]] != header:
             raise InputError(f"{path}: header must be exactly '{','.join(header)}'")
     except BaseException:
         fh.close()
@@ -122,9 +123,16 @@ def _open_csv(path: str, header: list):
 
 
 def _records(path: str, reader):
-    """The reader's rows; an undecodable byte or oversized cell is an input error."""
+    """(first file line, row) for each of the reader's records.
+
+    A quoted cell may span lines, so records and lines are counted apart.
+    An undecodable byte or oversized cell is an input error.
+    """
+    start = 1
     try:
-        yield from reader
+        for row in reader:
+            yield start, row
+            start = reader.line_num + 1
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8: cannot decode byte "
                          f"0x{exc.object[exc.start]:02x}") from exc
@@ -137,7 +145,7 @@ def _csv_rows(path: str, header: list):
     fh, records = _open_csv(path, header)
     empty = True
     with fh:
-        for lineno, row in enumerate(records, start=2):
+        for lineno, row in records:
             # blank when every cell is; a filled first cell settles it
             if not row or (not row[0].strip()
                            and all(not cell.strip() for cell in row)):
@@ -275,10 +283,26 @@ def _parse_grid(text: str):
     return tuple(sorted(values))
 
 
-def _check_table_path(path, flag: str) -> None:
-    """A Chernoff table path must name a file, not a directory."""
-    if path is not None and os.path.isdir(path):
+def _check_out_path(path, flag: str, table: bool = False) -> None:
+    """Refuse, from the path alone, an output path that cannot be written.
+
+    An artifact directory may not be an existing file, nor a Chernoff
+    table file an existing directory, and the nearest existing ancestor
+    of either must be a directory.
+    """
+    if path is None:
+        return
+    if not path:
+        raise InputError(f"{flag}: empty path")
+    if table and os.path.isdir(path):
         raise InputError(f"{flag}: {path} is a directory, not a table file")
+    if not table and os.path.lexists(path) and not os.path.isdir(path):
+        raise InputError(f"{flag}: {path} is a file, not a directory")
+    parent = os.path.dirname(os.path.normpath(path))
+    while parent and not os.path.lexists(parent):
+        parent = os.path.dirname(parent)
+    if parent and not os.path.isdir(parent):
+        raise InputError(f"{flag}: {parent} is a file, not a directory")
 
 
 def _resolve_threads(value) -> int:
@@ -385,7 +409,8 @@ def cmd_estimate(args) -> int:
         chernoff = ChernoffConfig(replications=args.chernoff_reps)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    _check_table_path(args.chernoff_cache, "--chernoff-cache")
+    _check_out_path(args.out, "--out")
+    _check_out_path(args.chernoff_cache, "--chernoff-cache", table=True)
     policy = _parse_policy(args.rn)
     grid = _parse_grid(args.grid)
     sample = _read_sample(args.input)
@@ -416,16 +441,18 @@ def cmd_estimate(args) -> int:
         "split": lambda x: split_ci(sfit, x, alpha=args.alpha),
     }
 
+    if not args.clamp:
+        for x in grid:
+            if x > fit.gamma_n:
+                print(f"warning: x={x} beyond truncation time "
+                      f"{fit.gamma_n}; skipped (use --clamp)", file=sys.stderr)
+        grid = tuple(x for x in grid if x <= fit.gamma_n)
+
     rows = []
     for method in methods:
         for x in grid:
             estimate = lower = upper = None
             if x > fit.gamma_n:
-                if not args.clamp:
-                    print(f"warning: x={x} beyond truncation time "
-                          f"{fit.gamma_n}; skipped (use --clamp)",
-                          file=sys.stderr)
-                    continue
                 estimate = float(fit.theta(fit.gamma_n))
             else:
                 try:
@@ -458,6 +485,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    _check_out_path(args.out, "--out")
     policy = _parse_policy(args.rn)
     sample = _read_sample(args.input)
     try:
@@ -487,7 +515,8 @@ def cmd_simulate(args) -> int:
     if args.reps < 1:
         raise InputError("--reps must be at least 1")
     methods = _parse_list(args.methods, "--methods", str)
-    _check_table_path(args.chernoff_cache, "--chernoff-cache")
+    _check_out_path(args.out, "--out")
+    _check_out_path(args.chernoff_cache, "--chernoff-cache", table=True)
     grid = _parse_list(args.grid, "--grid", float)
     try:
         config = StudyConfig(scenario=args.scenario, n=args.n,
@@ -533,28 +562,37 @@ def _read_distribution(path: str) -> DiscreteDistribution:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def cmd_order_check(args) -> int:
-    if args.figure1:
-        print(f"{'pair':34s}{'claims'}")
-        for entry in figure1_suite():
-            claims = ", ".join(f"{k}={v}" for k, v in entry["claims"].items())
-            print(f"{entry['name']:34s}{claims}")
-        return 0
-    if len(args.files) != 2:
-        raise InputError("provide two mass-function CSVs or --figure1")
-    dist_s = _read_distribution(args.files[0])
-    dist_t = _read_distribution(args.files[1])
+def _print_orders(dist_s, dist_t) -> None:
+    """Whether S dominates T in each order, with the failing point's index."""
     report = order_report(dist_s, dist_t)
     print("order  holds  witness")
     for kind in ("mhr", "hr", "st", "lr"):
         holds = getattr(report, kind)
         witness = "" if holds else str(report.witness.get(kind, ""))
         print(f"{kind:5s}  {str(holds):5s}  {witness}")
+
+
+def cmd_order_check(args) -> int:
+    if args.figure1:
+        if args.files:
+            raise InputError("--figure1 takes no files")
+        print(f"{'pair':34s}{'claims'}")
+        for entry in figure1_suite():
+            claims = ", ".join(f"{k}={v}" for k, v in entry["claims"].items())
+            print(f"{entry['name']:34s}{claims}")
+        for label, dist_s, dist_t in _separation_pairs():
+            print(f"pair: {label}")
+            _print_orders(dist_s, dist_t)
+        return 0
+    if len(args.files) != 2:
+        raise InputError("provide two mass-function CSVs or --figure1")
+    _print_orders(_read_distribution(args.files[0]),
+                  _read_distribution(args.files[1]))
     return 0
 
 
 def cmd_chernoff(args) -> int:
-    _check_table_path(args.out, "--out")
+    _check_out_path(args.out, "--out", table=True)
     try:
         config = ChernoffConfig(replications=args.reps)
     except ValueError as exc:
@@ -623,7 +661,8 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("files", nargs="*",
                      help="two CSVs with support,mass columns")
     orc.add_argument("--figure1", action="store_true",
-                     help="run the built-in four-pair gallery")
+                     help="print the built-in four-pair gallery, then "
+                          "the verdicts of one pair per order gap")
     orc.set_defaults(func=cmd_order_check)
 
     che = sub.add_parser("chernoff", help="generate or refresh the "

@@ -11,8 +11,8 @@ so ratios that are formally 0 or infinite never appear as floats.  Off
 the supports the hazard ratio takes the conventional values: 0 where S
 has no mass, infinity where T has no mass.
 
-Continuous families used by the built-in gallery (Weibull, Beta) are
-handled on evaluation grids via `parametric_hazard_ratio` rather than by
+The continuous pairs of the built-in gallery (Weibull, Beta) are checked
+on evaluation grids of their analytic hazards rather than by
 discretization, so grid verdicts reflect the analytic functions.
 """
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "OrderReport",
     "check_order",
     "order_report",
-    "parametric_hazard_ratio",
     "figure1_suite",
     "truncated_geometric",
 ]
@@ -201,31 +200,38 @@ def order_report(S: DiscreteDistribution, T: DiscreteDistribution) -> OrderRepor
 
 
 def _weibull_hazard(grid, shape, scale):
-    if shape <= 0 or scale <= 0:
-        raise ValueError("weibull parameters must be positive")
     return (shape / scale) * (grid / scale) ** (shape - 1.0)
 
 
-def parametric_hazard_ratio(family: str, params_s, params_t, grid) -> np.ndarray:
-    """Hazard ratio lambda_S/lambda_T of a parametric pair on a grid."""
-    grid = np.asarray(grid, dtype=float)
-    if family == "weibull":
-        if np.any(grid <= 0):
-            raise ValueError("weibull grid must be positive")
-        return (_weibull_hazard(grid, *params_s)
-                / _weibull_hazard(grid, *params_t))
-    if family == "beta":
-        a_s, b_s = params_s
-        a_t, b_t = params_t
-        if min(a_s, b_s, a_t, b_t) <= 0:
-            raise ValueError("beta parameters must be positive")
-        if np.any((grid <= 0) | (grid >= 1)):
-            raise ValueError("beta grid must lie strictly inside (0, 1)")
-        from scipy import stats
-        lam_s = stats.beta.pdf(grid, a_s, b_s) / stats.beta.sf(grid, a_s, b_s)
-        lam_t = stats.beta.pdf(grid, a_t, b_t) / stats.beta.sf(grid, a_t, b_t)
-        return lam_s / lam_t
-    raise ValueError(f"unknown family {family!r}")
+def _beta_hazard(grid, a, b):
+    from scipy import stats
+    return stats.beta.pdf(grid, a, b) / stats.beta.sf(grid, a, b)
+
+
+def _separation_pairs():
+    """One (label, S, T) triple per gap between adjacent orders.
+
+    The label names an order in which S dominates T and one in which it
+    does not.  The last two are Figure 1's discrete pairs.
+    """
+    half = Fraction(1, 2)
+    return (
+        ("st holds, hr fails",
+         DiscreteDistribution((2.0, 3.0), (half, half)),
+         DiscreteDistribution((1.0, 3.0), (half, half))),
+        ("hr holds, lr fails",
+         DiscreteDistribution((1.0, 2.0, 3.0),
+                              (Fraction(9, 20), Fraction(1, 20), half)),
+         DiscreteDistribution((1.0, 2.0, 3.0),
+                              (half, Fraction(1, 4), Fraction(1, 4)))),
+        ("lr holds, mhr fails",
+         DiscreteDistribution(tuple(range(1, 6)), (Fraction(1, 5),) * 5),
+         DiscreteDistribution(tuple(range(1, 6)),
+                              tuple(Fraction(k, 1000)
+                                    for k in (210, 209, 206, 200, 175)))),
+        ("mhr holds, st fails",
+         truncated_geometric(Fraction(4, 5), 40),
+         truncated_geometric(Fraction(1, 2), 40)))
 
 
 def figure1_suite() -> list:
@@ -240,9 +246,10 @@ def figure1_suite() -> list:
     """
     from scipy import stats
     entries = []
+    pairs = {label: (S, T) for label, S, T in _separation_pairs()}
 
     grid = np.linspace(0.05, 5.0, 200)
-    ratio = parametric_hazard_ratio("weibull", (0.8, 1.2), (0.5, 1.5), grid)
+    ratio = _weibull_hazard(grid, 0.8, 1.2) / _weibull_hazard(grid, 0.5, 1.5)
     sf_s = np.exp(-((grid / 1.2) ** 0.8))
     sf_t = np.exp(-((grid / 1.5) ** 0.5))
     entries.append({
@@ -252,8 +259,7 @@ def figure1_suite() -> list:
                    "st": bool(np.all(sf_s >= sf_t))},
     })
 
-    geom_s = truncated_geometric(Fraction(4, 5), 40)
-    geom_t = truncated_geometric(Fraction(1, 2), 40)
+    geom_s, geom_t = pairs["mhr holds, st fails"]
     entries.append({
         "name": "geometric constant ratio",
         "family": "discrete",
@@ -262,7 +268,7 @@ def figure1_suite() -> list:
     })
 
     grid01 = np.linspace(0.05, 0.95, 200)
-    ratio = parametric_hazard_ratio("beta", (0.3, 1.0), (0.3, 6.0), grid01)
+    ratio = _beta_hazard(grid01, 0.3, 1.0) / _beta_hazard(grid01, 0.3, 6.0)
     lr = stats.beta.pdf(grid01, 0.3, 1.0) / stats.beta.pdf(grid01, 0.3, 6.0)
     entries.append({
         "name": "beta likelihood ratio",
@@ -271,11 +277,7 @@ def figure1_suite() -> list:
                    "mhr": bool(np.all(np.diff(ratio) >= 0))},
     })
 
-    uniform = DiscreteDistribution(tuple(range(1, 6)), (Fraction(1, 5),) * 5)
-    slumped = DiscreteDistribution(
-        tuple(range(1, 6)),
-        (Fraction(210, 1000), Fraction(209, 1000), Fraction(206, 1000),
-         Fraction(200, 1000), Fraction(175, 1000)))
+    uniform, slumped = pairs["lr holds, mhr fails"]
     entries.append({
         "name": "five point likelihood ratio",
         "family": "discrete",

@@ -116,6 +116,20 @@ class TestEstimate:
         assert float(est) == fit["theta"]["values"][-1]
         assert lo == "" and hi == ""
 
+    def test_one_warning_per_skipped_point(self, tmp_path, sample_csv,
+                                           capsys):
+        out = tmp_path / "both"
+        assert cli.main(["estimate", "--input", str(sample_csv),
+                         "--out", str(out), "--ci", "both",
+                         "--grid", "0.5,50", "--chernoff-reps", "300"]) == 0
+        gamma_n = json.loads((out / "fit.json").read_text())["gamma_n"]
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: x=50.0 beyond truncation time {gamma_n}; "
+            "skipped (use --clamp)"]
+        rows = (out / "ci.csv").read_text().strip().split("\n")[1:]
+        assert [row.split(",")[::4] for row in rows] \
+            == [["0.5", "plugin"], ["0.5", "split"]]
+
     def test_missing_input(self, tmp_path, capsys):
         code = cli.main(["estimate", "--input", str(tmp_path / "nope.csv"),
                          "--out", str(tmp_path / "o")])
@@ -316,6 +330,20 @@ class TestDiagnose:
             _, lam_s, hull = line.split(",")
             assert float(hull) == float(lam_s)
 
+    @pytest.mark.parametrize("text", [
+        'time,status,arm\n"1.5\n",1,0\n2.0,2,0\n',
+        "time,status,arm\n1.5,1,0\n\n2.0,2,0\n"],
+        ids=["quoted-newline", "blank-line"])
+    def test_error_names_the_file_line(self, tmp_path, capsys, text):
+        # a record spanning two lines and a blank line both put the
+        # bad row on file line 4, though it is the file's third record
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        assert cli.main(["diagnose", "--input", str(bad),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err \
+            == f"error: {bad}: line 4: status must be 0 or 1, got 2\n"
+
     def test_seed_flag_removed(self, tmp_path, sample_csv):
         with pytest.raises(SystemExit) as exc:
             cli.main(["diagnose", "--input", str(sample_csv),
@@ -452,8 +480,7 @@ class TestOrderCheck:
     def test_figure1_gallery(self, capsys):
         assert cli.main(["order-check", "--figure1"]) == 0
         out = capsys.readouterr().out
-        lines = out.strip().split("\n")
-        assert len(lines) == 5
+        lines = out.split("\n")[:5]
         assert "weibull increasing ratio" in out
         assert "geometric constant ratio" in out
         for line in lines[1:3]:
@@ -496,6 +523,16 @@ class TestOrderCheck:
     def test_single_file_is_error(self, tmp_path):
         a = write_mass_csv(tmp_path / "u.csv", [(1, "1.0")])
         assert cli.main(["order-check", str(a)]) == 2
+
+    def test_files_with_figure1_is_error(self, tmp_path, capsys,
+                                         monkeypatch):
+        def refuse(path):
+            raise AssertionError("a mass function was read")
+
+        monkeypatch.setattr(cli, "_read_distribution", refuse)
+        a = write_mass_csv(tmp_path / "u.csv", [(1, "1.0")])
+        assert cli.main(["order-check", str(a), str(a), "--figure1"]) == 2
+        assert capsys.readouterr() == ("", "error: --figure1 takes no files\n")
 
     def test_nan_support_point(self, tmp_path, capsys):
         a = write_mass_csv(tmp_path / "nan.csv", [(1.0, "0.5"), ("nan", "0.5")])
@@ -601,6 +638,44 @@ def test_table_path_that_is_a_directory(tmp_path, sample_csv, capsys,
         f"error: {flag}: {table_dir} is a directory, not a table file\n")
     assert not out.exists()
     assert list(table_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,flag,path", [
+    ("estimate", "--out", "file"), ("estimate", "--out", ""),
+    ("estimate", "--chernoff-cache", ""),
+    ("estimate", "--chernoff-cache", "file/tab.json"),
+    ("diagnose", "--out", "file"), ("diagnose", "--out", ""),
+    ("diagnose", "--out", "file/sub"),
+    ("simulate", "--out", "file"), ("simulate", "--out", ""),
+    ("simulate", "--chernoff-cache", ""),
+    ("simulate", "--chernoff-cache", "file/tab.json"),
+    ("chernoff", "--out", ""), ("chernoff", "--out", "file/tab.json")])
+def test_unusable_output_path(tmp_path, sample_csv, capsys, monkeypatch,
+                              command, flag, path):
+    def no_work(*args):
+        raise AssertionError("work ran before the paths were checked")
+
+    monkeypatch.setattr(cli, "_read_sample", no_work)
+    monkeypatch.setattr(cli, "run_study", no_work)
+    monkeypatch.setattr(inference, "_simulate_chernoff", no_work)
+    existing = tmp_path / "file"
+    existing.write_text("kept\n")
+    argv = {
+        "estimate": ["estimate", "--input", str(sample_csv)],
+        "diagnose": ["diagnose", "--input", str(sample_csv)],
+        "simulate": ["simulate", "--scenario", "linear", "--n", "80",
+                     "--reps", "1", "--threads", "1"],
+        "chernoff": ["chernoff", "--reps", "400"],
+    }[command]
+    if flag != "--out" and command != "chernoff":
+        argv += ["--out", str(tmp_path / "o")]
+    argv += [flag, str(tmp_path / path) if path else ""]
+    assert cli.main(argv) == 2
+    reason = (f"{existing} is a file, not a directory" if path
+              else "empty path")
+    assert capsys.readouterr().err == f"error: {flag}: {reason}\n"
+    assert existing.read_text() == "kept\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["chernoff", "estimate", "simulate"])

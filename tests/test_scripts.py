@@ -6,8 +6,12 @@ import importlib.util
 import json
 import os
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
+
+import pytest
 
 from mhrfit import cli
 
@@ -63,29 +67,21 @@ def test_reproduce_study_forwards_simulate_flags(tmp_path):
     assert "linear  (n=80, reps=1, alpha=0.1," in proc.stdout
 
 
-def test_order_gallery_matrix_matches_labels():
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "order_gallery.py"),
-         "--witness"], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    header = lines.index("exact verdicts, one pair per strictness gap") + 1
-    kinds = lines[header].split()[1:]
-    assert sorted(kinds) == ["hr", "lr", "mhr", "st"]
-    rows = []  # (line, verdict per order, orders with a witness line)
-    for line in lines[header + 1:]:
-        if " fails at t=" in line:
-            rows[-1][2].append(line.split()[0])
-        else:
-            rows.append((line, dict(zip(kinds, line.split()[-4:])), []))
-    assert len(rows) == 4
-    for line, verdicts, failing in rows:
-        held, _, rest = line.strip().partition(" holds, ")
+def test_order_gallery_matrix_matches_labels(capsys):
+    assert cli.main(["order-check", "--figure1"]) == 0
+    blocks = capsys.readouterr().out.split("\npair: ")[1:]
+    assert len(blocks) == 4
+    for block in blocks:
+        label, header, *rows = block.splitlines()
+        assert header.split() == ["order", "holds", "witness"]
+        held, _, rest = label.partition(" holds, ")
         broken = rest.split()[0]
-        assert verdicts[held] == "yes" and verdicts[broken] == "no", line
-        # one witness line per failing order, in column order
-        assert failing == [k for k in kinds if verdicts[k] == "no"], line
+        cells = {row.split()[0]: row.split()[1:] for row in rows}
+        assert sorted(cells) == ["hr", "lr", "mhr", "st"]
+        assert cells[held][0] == "True" and cells[broken][0] == "False", label
+        # a witness on exactly the orders that fail
+        for kind, (holds, *witness) in cells.items():
+            assert len(witness) == (holds == "False"), (label, kind)
 
 
 def test_traced_layers_exist():
@@ -122,3 +118,25 @@ def test_benchmark_command_lines_parse(tmp_path, monkeypatch):
     parser = cli.build_parser()
     for argv in argvs:
         parser.parse_args(argv)
+
+
+def test_readme_commands_parse():
+    # a README command naming a removed script or flag fails for its reader
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["mhrfit"]:
+                commands.append(words[1:])
+    assert len(commands) >= 5
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README: mhrfit {shlex.join(argv)} does not parse")
+    scripts = re.findall(r"python3 (scripts/\S+\.py)", text)
+    assert scripts
+    for script in scripts:
+        assert (ROOT / script).is_file(), f"README names missing {script}"

@@ -8,9 +8,9 @@ import pytest
 from scipy import stats
 
 from mhrfit.stochastic_orders import (DiscreteDistribution, OrderVerdict,
+                                      _beta_hazard, _weibull_hazard,
                                       check_order, figure1_suite,
-                                      order_report, parametric_hazard_ratio,
-                                      truncated_geometric)
+                                      order_report, truncated_geometric)
 from oracles import (discrete_hazard, random_discrete, random_lr_pair,
                      random_mhr_chain)
 
@@ -230,25 +230,19 @@ class TestOrderReport:
 class TestParametricHazardRatio:
     def test_weibull_closed_form(self):
         grid = np.array([0.7, 1.3, 2.9])
-        ratio = parametric_hazard_ratio("weibull", (0.8, 1.2), (0.5, 1.5),
-                                        grid)
+        ratio = (_weibull_hazard(grid, 0.8, 1.2)
+                 / _weibull_hazard(grid, 0.5, 1.5))
         expected = ((0.8 / 1.2) * (grid / 1.2) ** -0.2
                     / ((0.5 / 1.5) * (grid / 1.5) ** -0.5))
         assert ratio == pytest.approx(expected, rel=1e-12)
-        assert np.all(np.diff(parametric_hazard_ratio(
-            "weibull", (0.8, 1.2), (0.5, 1.5),
-            np.linspace(0.05, 5, 200))) > 0)
-
-    def test_weibull_validation(self):
-        with pytest.raises(ValueError, match="grid must be positive"):
-            parametric_hazard_ratio("weibull", (1, 1), (1, 1), [0.0, 1.0])
-        with pytest.raises(ValueError, match="parameters must be positive"):
-            parametric_hazard_ratio("weibull", (-1, 1), (1, 1), [1.0])
+        fine = np.linspace(0.05, 5, 200)
+        assert np.all(np.diff(_weibull_hazard(fine, 0.8, 1.2)
+                              / _weibull_hazard(fine, 0.5, 1.5)) > 0)
 
     def test_beta_hazard_against_quadrature(self):
         x = np.array([0.4])
-        ratio = float(parametric_hazard_ratio("beta", (0.3, 1.0), (0.3, 6.0),
-                                              x)[0])
+        ratio = float(_beta_hazard(x, 0.3, 1.0)[0]
+                      / _beta_hazard(x, 0.3, 6.0)[0])
         grid = np.linspace(0.4, 1.0 - 1e-9, 200001)
 
         def hazard(a, b):
@@ -257,16 +251,6 @@ class TestParametricHazardRatio:
 
         assert ratio == pytest.approx(hazard(0.3, 1.0) / hazard(0.3, 6.0),
                                       rel=1e-5)
-
-    def test_beta_validation(self):
-        with pytest.raises(ValueError, match="strictly inside"):
-            parametric_hazard_ratio("beta", (1, 1), (1, 1), [0.0])
-        with pytest.raises(ValueError, match="parameters"):
-            parametric_hazard_ratio("beta", (0, 1), (1, 1), [0.5])
-
-    def test_unknown_family(self):
-        with pytest.raises(ValueError, match="unknown family"):
-            parametric_hazard_ratio("gamma", (1,), (1,), [0.5])
 
 
 class TestFigure1Suite:
