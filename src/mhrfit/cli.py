@@ -32,7 +32,7 @@ from .mhr_estimator import (TruncationPolicy, diagnostic_curve, fit_theta,
                             theta_at)
 from .simulation import SCENARIOS, StudyConfig, run_study
 from .stochastic_orders import (DiscreteDistribution, _separation_pairs,
-                                figure1_suite, order_report)
+                                check_order, figure1_suite)
 from .survival_core import CensoredSample, _first_invalid_row
 
 __all__ = ["main", "cmd_estimate", "cmd_diagnose",
@@ -280,6 +280,9 @@ def _parse_grid(text: str):
         raise InputError("--grid: evaluation points must be finite")
     if any(v < 0 for v in values):
         raise InputError("--grid: evaluation points must be nonnegative")
+    for i, x in enumerate(values):
+        if x in values[:i]:
+            raise InputError(f"--grid: evaluation point {x!r} repeated")
     return tuple(sorted(values))
 
 
@@ -563,13 +566,12 @@ def _read_distribution(path: str) -> DiscreteDistribution:
 
 
 def _print_orders(dist_s, dist_t) -> None:
-    """Whether S dominates T in each order, with the failing point's index."""
-    report = order_report(dist_s, dist_t)
+    """Whether S dominates T in each order, with the time where it first fails."""
     print("order  holds  witness")
     for kind in ("mhr", "hr", "st", "lr"):
-        holds = getattr(report, kind)
-        witness = "" if holds else str(report.witness.get(kind, ""))
-        print(f"{kind:5s}  {str(holds):5s}  {witness}")
+        verdict = check_order(dist_s, dist_t, kind)
+        witness = "" if verdict.holds else str(verdict.point)
+        print(f"{kind:5s}  {str(verdict.holds):5s}  {witness}")
 
 
 def cmd_order_check(args) -> int:

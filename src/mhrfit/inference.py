@@ -543,8 +543,7 @@ def split_fit(sample: CensoredSample, m: int,
     rng = np.random.default_rng(seed)
     perm = rng.permutation(sample.n)
     fits = []
-    for part in np.array_split(perm, m):
-        idx = np.sort(part)
+    for idx in np.array_split(perm, m):
         try:
             sub = CensoredSample(sample.time[idx], sample.status[idx], sample.arm[idx])
             fits.append(fit_theta(sub, policy))

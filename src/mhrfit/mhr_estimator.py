@@ -81,7 +81,7 @@ def gamma_n(sample: CensoredSample, r_n: float) -> float:
             raise ValueError(f"empty stratum: no observations in arm {arm}")
         k = math.ceil((1.0 - r_n) * times.size)
         k = min(max(k, 1), times.size)
-        quantiles.append(np.partition(times, k - 1)[k - 1])
+        quantiles.append(times[k - 1])
     return float(min(quantiles))
 
 

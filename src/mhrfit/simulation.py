@@ -202,6 +202,9 @@ class StudyConfig:
             raise ValueError("grid must not be empty")
         if not all(0.0 < x < 2.0 for x in self.grid):
             raise ValueError("grid points must lie in (0, 2)")
+        for i, x in enumerate(self.grid):
+            if x in self.grid[:i]:
+                raise ValueError(f"grid point {x!r} repeated")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if not self.methods:

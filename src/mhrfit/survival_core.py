@@ -3,8 +3,8 @@
 Everything downstream (hull construction, the monotone ratio estimator,
 confidence intervals) consumes the objects defined here: two-arm samples
 held as three read-only columns, right-continuous step functions, and the
-Nelson-Aalen / Kaplan-Meier / reverse Kaplan-Meier fits.  Per-subject
-work is done by masks and sorts on the columns, never by a loop.
+Nelson-Aalen / Kaplan-Meier / reverse Kaplan-Meier fits.  Per-subject work
+is done by masks and one stable time sort on the columns, never by a loop.
 
 Conventions: arm 0 is the control arm (T), arm 1 the treatment arm (S);
 status 1 is an event, 0 a censoring.  At tied times events are counted
@@ -33,7 +33,8 @@ class CensoredSample:
     """A two-arm right-censored sample: one entry per subject in each column.
 
     ``time`` is float, ``status`` and ``arm`` are 0/1 integers.  The columns
-    are private copies of the input and are read-only.
+    are private copies of the input and are read-only.  Construction makes
+    one stable sort by time, and ``arm_arrays`` reads each arm in that order.
     """
 
     time: np.ndarray
@@ -51,7 +52,8 @@ class CensoredSample:
         if invalid is not None:
             raise ValueError(invalid[1])
         columns = {"time": time, "status": status.astype(np.int64),
-                   "arm": arm.astype(np.int64)}
+                   "arm": arm.astype(np.int64),
+                   "_order": np.argsort(time, kind="stable")}
         for name, col in columns.items():
             col.flags.writeable = False
             object.__setattr__(self, name, col)
@@ -71,9 +73,9 @@ class CensoredSample:
         return int(self.arm.sum()) / self.n
 
     def arm_arrays(self, arm: int) -> tuple[np.ndarray, np.ndarray]:
-        """(times, status) for one arm, in input order."""
-        mask = self.arm == arm
-        return self.time[mask], self.status[mask]
+        """(times, status) for one arm in time order; ties keep input order."""
+        order = self._order[self.arm[self._order] == arm]
+        return self.time[order], self.status[order]
 
 
 def _first_invalid_row(time, status, arm):
@@ -196,12 +198,9 @@ def generalized_inverse(f: StepFunction, u):
 
 
 def _increments(times: np.ndarray, status: np.ndarray, arm: int):
-    """(distinct event times, increments dN/Y, at-risk counts Y) of one arm."""
+    """(distinct event times, dN/Y, at-risk counts Y) of one time-sorted arm."""
     if times.size == 0:
         raise ValueError(f"empty stratum: no observations in arm {arm}")
-    order = np.argsort(times, kind="stable")
-    times = times[order]
-    status = status[order]
     # the first index of each distinct time, read off the sorted times
     first = np.flatnonzero(np.r_[True, times[1:] != times[:-1]])
     # at risk at u: subjects with observed time >= u

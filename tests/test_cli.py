@@ -241,20 +241,44 @@ def refuse_to_read(path):
     (["estimate", "--grid", "abc"], "error: --grid: could not parse 'abc'\n"),
     (["estimate", "--grid", "nan"],
      "error: --grid: evaluation points must be finite\n"),
+    (["estimate", "--grid", "1,0.5,1.0"],
+     "error: --grid: evaluation point 1.0 repeated\n"),
     (["estimate", "--rn", "soon"],
      "error: --rn must be 'auto' or a number, got 'soon'\n"),
     (["estimate", "--rn", "1.5"],
      "error: --rn: fraction must lie in (0, 1), got 1.5\n"),
     (["diagnose", "--rn", "soon"],
      "error: --rn must be 'auto' or a number, got 'soon'\n")],
-    ids=["grid-text", "grid-nan", "estimate-rn", "estimate-rn-range",
-         "diagnose-rn"])
+    ids=["grid-text", "grid-nan", "grid-repeated", "estimate-rn",
+         "estimate-rn-range", "diagnose-rn"])
 def test_flags_checked_before_reading(tmp_path, sample_csv, capsys,
                                       monkeypatch, argv, message):
     monkeypatch.setattr(cli, "_read_sample", refuse_to_read)
     assert cli.main(argv + ["--input", str(sample_csv),
                             "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("ci,argsorts", [(["plugin"], 1),
+                                         (["split", "--splits", "5"], 6)],
+                         ids=["plugin", "split"])
+def test_each_sample_sorts_once(tmp_path, monkeypatch, ci, argsorts):
+    # the read sample sorts once, and so does each split's subsample;
+    # no curve, truncation time or split sorts or partitions an arm again
+    data = write_sample_csv(tmp_path / "data.csv", n=600)
+    table = str(tmp_path / "table.json")
+    assert cli.main(["chernoff", "--reps", "300", "--out", table]) == 0
+    calls = {"argsort": 0, "partition": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(np, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    assert cli.main(["estimate", "--input", str(data), "--ci", *ci,
+                     "--chernoff-reps", "300", "--chernoff-cache", table,
+                     "--out", str(tmp_path / "o")]) == 0
+    assert calls == {"argsort": argsorts, "partition": 0}
 
 
 def raise_memory_error(*args, **kwargs):
@@ -425,6 +449,19 @@ class TestSimulate:
         assert capsys.readouterr().err == "error: method 'split' repeated\n"
         assert not out.exists()
 
+    def test_repeated_grid_point(self, tmp_path, capsys, monkeypatch):
+        def no_study(config):
+            raise AssertionError("study ran")
+
+        monkeypatch.setattr(cli, "run_study", no_study)
+        out = tmp_path / "o"
+        # compared as numbers: 0.5 and 0.50 are the same point
+        assert cli.main(["simulate", "--scenario", "linear", "--n", "80",
+                         "--reps", "1", "--grid", "0.5,1,0.50",
+                         "--threads", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: grid point 0.5 repeated\n"
+        assert not out.exists()
+
     def test_bad_sizes(self, tmp_path):
         assert cli.main(["simulate", "--scenario", "linear", "--n", "1",
                          "--reps", "1", "--out", str(tmp_path / "o")]) == 2
@@ -500,6 +537,27 @@ class TestOrderCheck:
                 for line in out.strip().split("\n")[1:]}
         assert rows == {"mhr": "False", "hr": "True", "st": "True",
                         "lr": "True"}
+
+    def test_figure1_witness_is_a_time(self, capsys):
+        assert cli.main(["order-check", "--figure1"]) == 0
+        out = capsys.readouterr().out
+        # S on {2, 3} against T on {1, 3}: the union's third point fails
+        block = out.split("pair: st holds, hr fails\n")[1].splitlines()[:5]
+        assert block == ["order  holds  witness", "mhr    False  3.0",
+                         "hr     False  2.0", "st     True   ",
+                         "lr     False  3.0"]
+
+    def test_two_files_witness_is_a_time(self, tmp_path, capsys):
+        a = write_mass_csv(tmp_path / "uniform.csv",
+                           [(10 * k, "0.2") for k in range(1, 6)])
+        b = write_mass_csv(tmp_path / "slumped.csv",
+                           [(10, "0.210"), (20, "0.209"), (30, "0.206"),
+                            (40, "0.200"), (50, "0.175")])
+        assert cli.main(["order-check", str(a), str(b)]) == 0
+        # the hazard ratio first falls at t = 20, the union's second point
+        assert capsys.readouterr().out.splitlines() == [
+            "order  holds  witness", "mhr    False  20.0", "hr     True   ",
+            "st     True   ", "lr     True   "]
 
     def test_self_comparison_all_hold(self, tmp_path, capsys):
         a = write_mass_csv(tmp_path / "u.csv",

@@ -215,6 +215,12 @@ class TestRunStudy:
             StudyConfig(scenario="linear", n=100, replications=1,
                         grid=(1.0,), methods=("split", "kernel", "split"))
 
+    def test_repeated_grid_point(self):
+        # compared as numbers, so 1 and 1.0 are one point
+        with pytest.raises(ValueError, match="grid point 1 repeated"):
+            StudyConfig(scenario="linear", n=100, replications=1,
+                        grid=(0.5, 1.0, 1))
+
     def test_shapes_and_ranges(self):
         config = StudyConfig(scenario="linear", n=150, replications=2,
                              grid=(0.8, 1.2), seed=3,

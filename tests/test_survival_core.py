@@ -249,3 +249,20 @@ class TestMatchesUniqueForm:
                 rkm = reverse_kaplan_meier(s, arm)
                 assert rkm.knots.tobytes() == knots.tobytes()
                 assert rkm.survival.tobytes() == np.cumprod(1.0 - inc).tobytes()
+
+
+class TestTimeOrder:
+    @given(tied_rows)
+    def test_arm_arrays_in_stable_time_order(self, rows):
+        times, status, arms = (np.array(col) for col in zip(*rows))
+        s = CensoredSample.from_arrays(times, status, arms)
+        for arm in (0, 1):
+            t, d = s.arm_arrays(arm)
+            assert np.all(np.diff(t) >= 0)
+            # Python's sort is stable, so tied rows stay in input order
+            in_order = [(ti, di) for ti, di, ai in rows if ai == arm]
+            assert list(zip(t.tolist(), d.tolist())) == sorted(
+                in_order, key=lambda row: row[0])
+            mask = s.arm == arm
+            assert sorted(zip(t.tolist(), d.tolist())) == sorted(
+                zip(s.time[mask].tolist(), s.status[mask].tolist()))
