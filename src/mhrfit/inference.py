@@ -9,10 +9,12 @@ Two routes:
   cross-validated local linear smoother.  The x-free parts of tau_n (the
   derivative grid, its bandwidth search and the survival curves) are
   built once per fit by `plugin_scale`; only the local slope and the
-  curve lookups are done per x.  The bandwidth search sums its
-  leave-level-out scores over compact-support windows of the sorted grid,
-  in row blocks, so it holds O(block * m) numbers for m grid points
-  (`_windows` is shared with the kernel baseline's search);
+  curve lookups are done per x.  The bandwidth search reads each grid
+  point's leave-level-out window sums off cumulative moments
+  (`_Moments`, shared with the kernel baseline's search): for K candidates
+  and m grid points it takes O(K m log m) time, the log for the exact
+  window ends, and holds O(m) numbers per candidate, at most _BLOCK // 3
+  candidates at a time;
 * sample splitting: average the fits on m random disjoint subsets and form
   a t-interval from their spread, with the t quantile from
   `scipy.special.stdtrit`.
@@ -268,36 +270,240 @@ def _select_bandwidth(candidates, score, tolerance) -> float:
     return float(candidates[np.nonzero(scores <= best + tolerance(scores))[0][-1]])
 
 
-# Rows per block of the windowed CV engine: each block holds at most
-# _BLOCK x len(x) differences, whatever the bandwidth.
+# The fast-sum engine takes the bandwidth candidates _BLOCK // 3 at a time.
+# Its tables hold about three copies of x per candidate, so one pass holds
+# about _BLOCK * len(x) numbers per moment column, however many candidates.
 _BLOCK = 64
-# Widening of every window, relative to reach + max|x|, that covers the
-# rounding of x_j - x_i, of its ratio to h and of the window bounds.
+# Widening of every window-end bracket, relative to h + max|x|, that covers
+# the rounding of x_j - x_i, of its ratio to h and of the bounds.
 _SLACK = 8.0 * np.finfo(float).eps
 
 
-def _windows(x: np.ndarray, reaches: np.ndarray):
-    """Row blocks of sorted x, each with the columns its kernels can reach.
+def _window_end(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The first j > i outside row i's kernel window, per bandwidth.
 
-    For each block of up to _BLOCK rows, yields (rows, cols, d, spans):
-    d[i, j] = x[cols][j] - x[rows][i] over the block's widest window, and
-    spans[k] is the slice of d's columns within reaches[k] of some row of
-    the block (both window ends from ``np.searchsorted``).  The windows are
-    widened by a rounding slack, so a compactly supported kernel evaluated
-    on d sees every pair it sees on the full pairwise matrix, and its own
-    support test decides membership.  Memory is O(_BLOCK * len(x)).
+    Row i's window at h[k] holds the j with |fl(fl(x_j - x_i) / h[k])| < 1
+    on sorted x, which is the Epanechnikov kernel's own rounded support
+    test: for a double z, 0.75 (1 - z*z) > 0 exactly when |z| < 1.  Returns
+    a (len(h), len(x)) array.  Two searchsorted calls, widened by _SLACK,
+    bracket each end; a bracket that holds more than one index is closed by
+    bisection on the test itself.
     """
-    pad = reaches + _SLACK * (reaches + float(np.abs(x).max()))
-    starts = np.arange(0, x.size, _BLOCK)
-    stops = np.minimum(starts + _BLOCK, x.size)
-    lo = np.searchsorted(x, x[starts] - pad[:, None], "left")
-    hi = np.searchsorted(x, x[stops - 1] + pad[:, None], "right")
-    for b, (i0, i1) in enumerate(zip(starts.tolist(), stops.tolist())):
-        first, last = int(lo[:, b].min()), int(hi[:, b].max())
-        spans = [slice(a - first, z - first)
-                 for a, z in zip(lo[:, b].tolist(), hi[:, b].tolist())]
-        yield (slice(i0, i1), slice(first, last),
-               x[first:last] - x[i0:i1, None], spans)
+    n = x.size
+    pad = (_SLACK * (h + float(np.abs(x).max())))[:, None]
+    edge = x + h[:, None]
+    after = np.arange(1, n + 1)
+    first = np.maximum(np.searchsorted(x, edge - pad, "left"), after).ravel()
+    last = np.maximum(np.searchsorted(x, edge + pad, "right"), after).ravel()
+    todo = np.flatnonzero(first < last)
+    while todo.size:
+        mid = (first[todo] + last[todo]) // 2
+        k, i = np.divmod(todo, n)
+        inside = np.abs((x[mid] - x[i]) / h[k]) < 1.0
+        first[todo[inside]] = mid[inside] + 1
+        last[todo[~inside]] = mid[~inside]
+        todo = todo[first[todo] < last[todo]]
+    return first.reshape(h.size, n)
+
+
+def _window_start(end: np.ndarray) -> np.ndarray:
+    """The first j in row i's window, from the window ends of `_window_end`.
+
+    The support test is symmetric in i and j, so j < i lies in row i's
+    window just when i < end[j]: the window starts at the first j whose
+    window ends beyond i.
+    """
+    K, n = end.shape
+    # candidate k's ends, shifted past candidate k - 1's, make one sorted key
+    k = np.arange(K)[:, None]
+    start = np.searchsorted((end + (n + 1) * k).ravel(),
+                            (np.arange(n) + (n + 1) * k).ravel(), "right")
+    return start.reshape(K, n) - n * k
+
+
+def _half_values(x, head, size, origin, centre, inv, weights, values, ref,
+                 slope, order, lowest):
+    """The values that `_Moments` accumulates, one run of slots per half.
+
+    Block b's right half is run b and its left half run b + len(origin);
+    run r takes the size[r] slots from head[r].  Slot 0 of a run is its
+    head; slot t holds the t-th point out from the origin, x[origin + t - 1]
+    on the right and x[origin - t] on the left, negated on the left so
+    that the left prefixes come out signed.
+    """
+    def per_slot(block_values):
+        return np.repeat(np.concatenate((block_values, block_values)), size)
+
+    right = np.repeat(np.arange(size.size) < origin.size, size)
+    t = np.arange(head[-1] + size[-1]) - np.repeat(head, size)
+    idx = per_slot(origin) + np.where(right, t - 1, -t)
+    np.clip(idx, 0, x.size - 1, out=idx)
+    z = (x[idx] - per_slot(centre)) * per_slot(inv)
+    w = np.where(right, 1.0, -1.0)
+    if weights is not None:
+        w *= weights[idx]
+    table = np.empty((1 if values is None else 2, order - lowest + 1, t.size))
+    np.multiply(w, z ** lowest, out=table[0, 0])
+    if values is not None:
+        rel = values[idx] - per_slot(ref) - per_slot(slope) * z
+        np.multiply(rel, w, out=table[1, 0])
+    for q in range(1, order - lowest + 1):
+        np.multiply(table[:, q - 1], z, out=table[:, q])
+    return table
+
+
+def _run_cumsum(table, head, size):
+    """Cumulative sums along the last axis within each run of slots.
+
+    Run r takes the size[r] slots from head[r].  In place, slot head[r] + t
+    becomes the sum of the run's slots 1 to t, and the head slot 0.  One
+    cumsum serves all runs: each head slot first takes minus the total of
+    the run before it, and what rounding leaves there is then subtracted
+    from the whole run.
+    """
+    table[..., head] = 0.0
+    total = np.add.reduceat(table, head, axis=-1)
+    table[..., head[1:]] = -total[..., :-1]
+    np.cumsum(table, axis=-1, out=table)
+    for column in table:
+        column -= np.repeat(column[:, head], size, axis=-1)
+
+
+class _Moments:
+    """Cumulative moments of w z^q and w (v - line) z^q, in row blocks.
+
+    For bandwidth h[k], the rows with equal floor((x_i - min x) / h[k]), and
+    equal ``levels`` if given, form a block.  Its origin is its middle row
+    and its centre a is x there (or ``centres`` at its first row), so that
+    z = (x - a) / h[k].  Over the block's reach, from ``reach_lo`` of its
+    first row to ``reach_hi`` of its last, the table holds the cumulative
+    sums of w z^q, lowest <= q <= order, and, given ``values`` v, of
+    w (v - line) z^q, q <= order - lowest.  They are accumulated outward
+    from the origin: entry e is the sum over [origin, e), or minus the sum
+    over [e, origin).  The sum over any [s, e) in the reach is the
+    difference of two entries, neither of which spans more than the reach,
+    about three bandwidths, so the cancellation of prefix sums over all of
+    x cannot arise.
+
+    w is ``weights``, or ones.  The line goes through v at the block's
+    origin with the slope between its first and last rows; ``ref`` and
+    ``slope`` are its value at the centre and its slope in z, and ``line``
+    its value at each row.  ``c`` is (x_i - a) / h[k] for row i, and
+    ``span(lo, hi)`` holds the sums over [lo, hi) for each (k, i), in the
+    frame of row i's block.
+    """
+
+    def __init__(self, x, h, reach_lo, reach_hi, *, weights=None, values=None,
+                 order=4, lowest=0, levels=None, centres=None):
+        K, n = reach_lo.shape
+        cell = np.floor((x - x.min()) / h[:, None])
+        new = np.ones((K, n), dtype=bool)
+        new[:, 1:] = cell[:, 1:] != cell[:, :-1]
+        if levels is not None:
+            new[:, 1:] |= levels[1:] != levels[:-1]
+        first = np.flatnonzero(new)
+        last = np.append(first[1:], new.size) - 1
+        k, first_row = np.divmod(first, n)
+        last_row = last - k * n
+        origin = (first_row + last_row) // 2
+        centre = x[origin] if centres is None else centres.ravel()[first]
+        inv = 1.0 / h[k]
+        ref = np.zeros(origin.size)
+        slope = np.zeros(origin.size)
+        if values is not None:
+            ref = values[origin]
+            rise = (x[last_row] - x[first_row]) * inv
+            np.divide(values[last_row] - values[first_row], rise, out=slope,
+                      where=rise > 0)
+        # each block's right half [origin, hi) and left half [lo, origin),
+        # laid end to end as runs of slots
+        nb = origin.size
+        size = np.concatenate((reach_hi.ravel()[last] - origin,
+                               origin - np.minimum(reach_lo.ravel()[first],
+                                                   origin))) + 1
+        head = np.cumsum(size) - size
+        table = _half_values(x, head, size, origin, centre, inv, weights,
+                             values, ref, slope, order, lowest)
+        _run_cumsum(table, head, size)
+        self._shape = table.shape[:2]
+        self._table = table.reshape(-1, table.shape[-1])
+        row_block = np.cumsum(new.ravel()) - 1
+        self._origin = origin[row_block]
+        self._right = head[:nb][row_block]
+        self._left = head[nb:][row_block]
+        self.centre = centre[row_block].reshape(K, n)
+        self.c = (x - self.centre) * inv[row_block].reshape(K, n)
+        self.ref = ref[row_block].reshape(K, n)
+        self.slope = slope[row_block].reshape(K, n)
+        self.line = self.ref + self.slope * self.c
+
+    def span(self, lo, hi):
+        """(columns, powers, K, n) sums over [lo, hi) in row i's block."""
+        total = self._entry(hi)
+        total -= self._entry(lo)
+        return total.reshape(self._shape + self.c.shape)
+
+    def _entry(self, e):
+        e = e.ravel()
+        return self._table[:, np.where(e >= self._origin,
+                                       self._right + (e - self._origin),
+                                       self._left + (self._origin - e))]
+
+
+def _one_abscissa(u, order, lo, hi, p, q, usable):
+    """Rows whose usable neighbours all share one abscissa (den = 0).
+
+    Exact: with g the tie-group id of each point, the neighbours' integer
+    sums of g and g^2 show a zero variance just when all g are equal.
+    """
+    g = np.r_[0, np.cumsum(u[1:] != u[:-1])]
+    sums = []
+    for power in (1, 2):
+        window = np.r_[0, np.cumsum(g ** power)]
+        held = np.r_[0, np.cumsum(g[order] ** power)]
+        sums.append(window[hi] - window[lo] - (held[q] - held[p]))
+    s1, s2 = sums
+    mean = s1 // np.maximum(usable, 1)
+    return (s1 == usable * mean) & (s2 == usable * mean * mean)
+
+
+def _local_linear(u, y, h, lo, hi, p, q, usable, by_level):
+    """Local-linear predictions at every u_i from its usable neighbours.
+
+    Row i's neighbours at h[k] are [lo, hi) less the held-out points, the
+    positions [p, q) in (y, u) order; ``usable`` counts them.  ``by_level``
+    is that order and the level number along it, or None when y is
+    nondecreasing in u, so that (y, u) order is u order.  The weighted
+    sums come from `_Moments` in the frame of row i's block, with weights
+    1 - (z - c)^2 = (1 - c^2) + 2cz - z^2, and the fitted line is read off
+    at z = c.  y enters less its block's line, which the fit reproduces
+    exactly, so the sums stay small where y is locally linear.
+    """
+    mom = _Moments(u, h, lo, hi, values=y, lowest=1)
+    if by_level is None:
+        # the usable points are [lo, p) and [q, hi)
+        s = mom.span(lo, p)
+        s += mom.span(q, hi)
+    else:
+        order, run = by_level
+        s = mom.span(lo, hi)
+        pp, qq = p[:, order], q[:, order]
+        held = _Moments(u[order], h, pp, qq, lowest=1, levels=run,
+                        centres=mom.centre[:, order])
+        t = held.span(pp, qq)[0][..., np.argsort(order)]
+        s[0] -= t
+        # a held-out point has y = y_i: it enters as (y_i - ref) - slope z
+        t = np.concatenate([(q - p)[None], t])
+        s[1] -= (y - mom.ref) * t[:4] - mom.slope * t[1:]
+    # sums of z^q over the usable points, q <= 4, and of (y - line) z^q, q <= 3
+    m, my = np.concatenate([usable[None], s[0]]), s[1]
+    c = mom.c
+    w0, w1 = 1.0 - c * c, 2.0 * c
+    s0, s1, s2 = (w0 * m[j] + w1 * m[j + 1] - m[j + 2] for j in range(3))
+    t0, t1 = (w0 * my[j] + w1 * my[j + 1] - my[j + 2] for j in range(2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return mom.line + ((s2 * t0 - s1 * t1 + c * (s0 * t1 - s1 * t0))
+                           / (s0 * s2 - s1 * s1))
 
 
 def _loo_predictions(u: np.ndarray, y: np.ndarray, bandwidths: np.ndarray):
@@ -311,36 +517,49 @@ def _loo_predictions(u: np.ndarray, y: np.ndarray, bandwidths: np.ndarray):
     LOO lets a point be interpolated by its own flat run, which drives the
     score to favor bandwidths too narrow to see any level change; holding
     the run out scores real smoothing.  Bandwidths whose windows leave some
-    point with fewer than two usable neighbors are infeasible.  The five
-    row sums are taken over each block's window; the block's differences
-    and held-out mask are formed once for every bandwidth.
+    point with fewer than two usable neighbors, or with all of them at one
+    abscissa, are infeasible.  Both rules are integer arithmetic on the
+    exact window ends of `_window_end`, and only feasible bandwidths are
+    fitted, by `_local_linear`.
     """
-    pred = np.full((bandwidths.size, u.size), np.nan)
-    feasible = np.ones(bandwidths.size, dtype=bool)
-    for rows, cols, d, spans in _windows(u, bandwidths):
-        y_cols = y[cols]
-        held_out = y_cols == y[rows, None]
-        for k, (h, span) in enumerate(zip(bandwidths.tolist(), spans)):
-            if not feasible[k]:
-                continue
-            dk = d[:, span]
-            w = _epanechnikov(dk / h)
-            np.putmask(w, held_out[:, span], 0.0)
-            if (w > 0).sum(axis=1).min() < 2:
-                feasible[k] = False
-                continue
-            wd = w * dk
-            s0 = w.sum(axis=1)
-            s1 = wd.sum(axis=1)
-            s2 = (wd * dk).sum(axis=1)
-            t0 = w @ y_cols[span]
-            t1 = wd @ y_cols[span]
-            den = s0 * s2 - s1 * s1
-            if den.min() <= 0:
-                feasible[k] = False
-                continue
-            pred[k, rows] = (s2 * t0 - s1 * t1) / den
-    pred[~feasible] = np.nan
+    bandwidths = np.asarray(bandwidths, dtype=float)
+    n = u.size
+    pred = np.full((bandwidths.size, n), np.nan)
+    # In (y, u) order each level is one run, and the part of row i's level
+    # inside its window is the positions [p, q).  When y is nondecreasing
+    # in u that order is u order, and [p, q) is the run clipped to the
+    # window.
+    monotone = bool(np.all(y[1:] >= y[:-1]))
+    order = np.arange(n) if monotone else np.argsort(y, kind="stable")
+    run = np.r_[0, np.cumsum(y[order][1:] != y[order][:-1])]
+    if monotone:
+        begin = np.searchsorted(run, run, "left")
+        end = np.searchsorted(run, run, "right")
+    else:
+        level = np.empty(n, dtype=np.int64)
+        level[order] = run
+        key = run * (n + 1) + order
+    # only tied abscissae can leave two usable neighbours at one abscissa
+    ties = bool(np.any(u[1:] == u[:-1]))
+    step = _BLOCK // 3
+    for s in range(0, bandwidths.size, step):
+        h = bandwidths[s:s + step]
+        hi = _window_end(u, h)
+        lo = _window_start(hi)
+        if monotone:
+            p, q = np.maximum(lo, begin), np.minimum(hi, end)
+        else:
+            p = np.searchsorted(key, level * (n + 1) + lo)
+            q = np.searchsorted(key, level * (n + 1) + hi)
+        usable = (hi - lo) - (q - p)
+        infeasible = usable < 2
+        if ties:
+            infeasible |= _one_abscissa(u, order, lo, hi, p, q, usable)
+        ok = np.flatnonzero(~infeasible.any(axis=1))
+        if ok.size:
+            pred[s + ok] = _local_linear(
+                u, y, h[ok], lo[ok], hi[ok], p[ok], q[ok], usable[ok],
+                None if monotone else (order, run))
     return pred
 
 

@@ -4,12 +4,15 @@ Each arm's hazard is estimated by Epanechnikov smoothing of the
 Nelson-Aalen increments, with a least-squares cross-validated bandwidth.
 The bandwidths depend on the sample only, so `smooth_hr_fit` chooses them
 once per sample and `smooth_hr_ci` evaluates that fit at any x.  The
-cross-validation scores are summed over compact-support windows of the
-sorted event times (K*K vanishes beyond twice the bandwidth), in row
-blocks, so a search holds O(block * E) numbers for E event times.  The ratio
-gets a delta-method interval on the log scale, with the normal quantile
-from `scipy.special.ndtri`.  No boundary correction is applied, and
-nothing constrains the ratio to be monotone.
+cross-validation score is a quadratic form in K and its self-convolution
+K*K, both polynomials on their support (K*K vanishes beyond twice the
+bandwidth), so each event time's window sums are read off the cumulative
+moments of `inference._Moments`: for K candidates and E event times a
+search takes O(K E log E) time and holds O(E) numbers per candidate, at
+most `inference._BLOCK // 3` candidates at a time.  The ratio gets a
+delta-method interval on the log scale, with the normal quantile from
+`scipy.special.ndtri`.  No boundary correction is applied, and nothing
+constrains the ratio to be monotone.
 """
 from __future__ import annotations
 
@@ -19,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .inference import (ConfidenceInterval, _epanechnikov, _select_bandwidth,
-                        _windows)
+from .inference import (_BLOCK, ConfidenceInterval, _epanechnikov, _Moments,
+                        _select_bandwidth, _window_end)
 from .survival_core import CensoredSample, _hazard_increments
 
 __all__ = [
@@ -31,26 +34,27 @@ __all__ = [
 ]
 
 
-def _cv_kernel(a):
-    """(K*K - 2K)(a) at a = |t| for the Epanechnikov kernel K; reuses a.
+# K*K(a) = (3/160)(2 - a)^3 (a^2 + 6a + 4) on a < 2 and 2K(a) = 1.5 (1 - a^2)
+# on a < 1, as coefficients of a^0, a^1, ... for the Epanechnikov kernel K
+_SELF_CONVOLUTION = (0.6, 0.0, -0.75, 0.375, 0.0, -3.0 / 160.0)
+_TWICE_KERNEL = (1.5, 0.0, -1.5)
 
-    K*K(a) = (3/160)(2 - a)^3 (a^2 + 6a + 4) on [0, 2] and 0 beyond.
-    Products replace float powers and the passes run in place, because
-    this is evaluated on every block of every candidate.
+
+def _poly_sum(coef, moments, c):
+    """sum_j v_j p(z_j - c) from the moments sum_j v_j z_j^q, q < len(coef).
+
+    p(z - c) = sum_q z^q sum_k coef[q + k] C(q + k, q) (-c)^k, with the
+    polynomial p given by its coefficients ``coef``.
     """
-    b = np.subtract(2.0, a)
-    np.maximum(b, 0.0, out=b)
-    form = b * b
-    form *= b
-    np.add(a, 6.0, out=b)
-    b *= a
-    b += 4.0
-    form *= b
-    form *= 3.0 / 160.0
-    k = _epanechnikov(a)
-    k *= 2.0
-    form -= k
-    return form
+    d = len(coef)
+    shift = np.array([[coef[q + k] * math.comb(q + k, q) if q + k < d else 0.0
+                       for k in range(d)] for q in range(d)])
+    powers = np.empty((d,) + c.shape)
+    powers[0] = 1.0
+    for k in range(1, d):
+        np.multiply(powers[k - 1], -c, out=powers[k])
+    return np.einsum("q...,q...->...", np.tensordot(shift, powers, 1),
+                     moments[:d])
 
 
 @dataclass(frozen=True)
@@ -79,16 +83,26 @@ def _cv_criterion(times, inc, y, bandwidths):
     The integral of the squared estimate (closed form via the kernel
     self-convolution) minus twice the leave-one-out fit term, where each
     event subject's own jump share K_h(0)/Y is removed, is the quadratic
-    form inc'(K*K - 2K)_h inc plus (1.5/h) sum(inc/y).  K*K vanishes
-    beyond 2h, so the form is summed over the row blocks and column
-    windows of `inference._windows` on the sorted event times.
+    form inc'(K*K - 2K)_h inc plus (1.5/h) sum(inc/y).  The form is the
+    diagonal, (K*K - 2K)(0) = -0.9 times sum(inc^2), plus twice the pairs
+    j > i.  Both kernels are polynomials in a = (t_j - t_i)/h on their
+    support, so each row's pairs are two window sums from `_Moments` on the
+    sorted event times: a < 2 for K*K and a < 1 for K, with the window ends
+    from the kernels' own rounded support tests.
     """
-    sums = np.zeros(bandwidths.size)
-    for rows, cols, d, spans in _windows(times, 2.0 * bandwidths):
-        dist = np.abs(d)
-        left, right = inc[rows], inc[cols]
-        for k, (h, span) in enumerate(zip(bandwidths.tolist(), spans)):
-            sums[k] += left @ _cv_kernel(dist[:, span] / h) @ right[span]
+    bandwidths = np.asarray(bandwidths, dtype=float)
+    sums = np.empty(bandwidths.size)
+    step = _BLOCK // 3
+    for s in range(0, bandwidths.size, step):
+        h = bandwidths[s:s + step]
+        after = np.broadcast_to(np.arange(1, times.size + 1),
+                                (h.size, times.size))
+        # K*K's support test fl(d / h) < 2 is fl(d / 2h) < 1: halving is exact
+        near, far = np.split(_window_end(times, np.concatenate((h, 2 * h))), 2)
+        mom = _Moments(times, h, after, far, weights=inc, order=5)
+        pairs = (_poly_sum(_SELF_CONVOLUTION, mom.span(after, far)[0], mom.c)
+                 - _poly_sum(_TWICE_KERNEL, mom.span(after, near)[0], mom.c))
+        sums[s:s + step] = (inc * (2.0 * pairs - 0.9 * inc)).sum(axis=1)
     return sums / bandwidths + (1.5 / bandwidths) * np.sum(inc / y)
 
 

@@ -103,6 +103,9 @@ class OrderVerdict:
 
 @dataclass(frozen=True)
 class OrderReport:
+    """Which of the four orders hold; ``witness`` maps each order that
+    fails to the support point (a time) where it first fails."""
+
     mhr: bool
     hr: bool
     st: bool
@@ -193,7 +196,7 @@ def check_order(S: DiscreteDistribution, T: DiscreteDistribution,
 
 def order_report(S: DiscreteDistribution, T: DiscreteDistribution) -> OrderReport:
     verdicts = {k: check_order(S, T, k) for k in _KINDS}
-    witness = {k: v.index for k, v in verdicts.items() if not v.holds}
+    witness = {k: v.point for k, v in verdicts.items() if not v.holds}
     return OrderReport(mhr=verdicts["mhr"].holds, hr=verdicts["hr"].holds,
                        st=verdicts["st"].holds, lr=verdicts["lr"].holds,
                        witness=witness)

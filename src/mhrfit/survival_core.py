@@ -34,7 +34,8 @@ class CensoredSample:
 
     ``time`` is float, ``status`` and ``arm`` are 0/1 integers.  The columns
     are private copies of the input and are read-only.  Construction makes
-    one stable sort by time, and ``arm_arrays`` reads each arm in that order.
+    one stable sort by time and splits it into each arm's order, which
+    ``arm_arrays`` reads.
     """
 
     time: np.ndarray
@@ -51,9 +52,11 @@ class CensoredSample:
         invalid = _first_invalid_row(time, status, arm)
         if invalid is not None:
             raise ValueError(invalid[1])
+        order = np.argsort(time, kind="stable")
+        in_arm_1 = (arm == 1)[order]
         columns = {"time": time, "status": status.astype(np.int64),
                    "arm": arm.astype(np.int64),
-                   "_order": np.argsort(time, kind="stable")}
+                   "_arm_0": order[~in_arm_1], "_arm_1": order[in_arm_1]}
         for name, col in columns.items():
             col.flags.writeable = False
             object.__setattr__(self, name, col)
@@ -74,7 +77,7 @@ class CensoredSample:
 
     def arm_arrays(self, arm: int) -> tuple[np.ndarray, np.ndarray]:
         """(times, status) for one arm in time order; ties keep input order."""
-        order = self._order[self.arm[self._order] == arm]
+        order = self._arm_1 if arm == 1 else self._arm_0 if arm == 0 else []
         return self.time[order], self.status[order]
 
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from mhrfit.inference import _epanechnikov
 from mhrfit.stochastic_orders import DiscreteDistribution
 
 # ---------------------------------------------------------------------------
@@ -260,6 +261,104 @@ def dense_loo_predictions(u, y, h):
     if np.any(den <= 0):
         return None
     return (s2 * t0 - s1 * t1) / den
+
+
+# ---------------------------------------------------------------------------
+# Cross-validation scores summed over compact-support windows in row blocks,
+# as the library scored them before it read window sums from cumulative
+# moments.  The kernels are evaluated on every pair inside each window, so
+# these share the dense formulas' arithmetic and only reorder the sums.
+
+_WINDOW_BLOCK = 64
+_WINDOW_SLACK = 8.0 * np.finfo(float).eps
+
+
+def _windows(x, reaches):
+    """Row blocks of sorted x, each with the columns its kernels can reach.
+
+    For each block of up to _WINDOW_BLOCK rows, yields (rows, cols, d,
+    spans): d[i, j] = x[cols][j] - x[rows][i] over the block's widest
+    window, and spans[k] is the slice of d's columns within reaches[k] of
+    some row of the block, widened by a rounding slack so that the kernel's
+    own support test decides membership.
+    """
+    pad = reaches + _WINDOW_SLACK * (reaches + float(np.abs(x).max()))
+    starts = np.arange(0, x.size, _WINDOW_BLOCK)
+    stops = np.minimum(starts + _WINDOW_BLOCK, x.size)
+    lo = np.searchsorted(x, x[starts] - pad[:, None], "left")
+    hi = np.searchsorted(x, x[stops - 1] + pad[:, None], "right")
+    for b, (i0, i1) in enumerate(zip(starts.tolist(), stops.tolist())):
+        first, last = int(lo[:, b].min()), int(hi[:, b].max())
+        spans = [slice(a - first, z - first)
+                 for a, z in zip(lo[:, b].tolist(), hi[:, b].tolist())]
+        yield (slice(i0, i1), slice(first, last),
+               x[first:last] - x[i0:i1, None], spans)
+
+
+def windowed_loo_predictions(u, y, bandwidths):
+    """Leave-level-out local-linear predictions, one row per bandwidth.
+
+    u is sorted; a row is nan when its bandwidth leaves some point with
+    fewer than two usable neighbours or a rounded denominator <= 0.
+    """
+    pred = np.full((bandwidths.size, u.size), np.nan)
+    feasible = np.ones(bandwidths.size, dtype=bool)
+    for rows, cols, d, spans in _windows(u, bandwidths):
+        y_cols = y[cols]
+        held_out = y_cols == y[rows, None]
+        for k, (h, span) in enumerate(zip(bandwidths.tolist(), spans)):
+            if not feasible[k]:
+                continue
+            dk = d[:, span]
+            w = _epanechnikov(dk / h)
+            np.putmask(w, held_out[:, span], 0.0)
+            if (w > 0).sum(axis=1).min() < 2:
+                feasible[k] = False
+                continue
+            wd = w * dk
+            s0 = w.sum(axis=1)
+            s1 = wd.sum(axis=1)
+            s2 = (wd * dk).sum(axis=1)
+            t0 = w @ y_cols[span]
+            t1 = wd @ y_cols[span]
+            den = s0 * s2 - s1 * s1
+            if den.min() <= 0:
+                feasible[k] = False
+                continue
+            pred[k, rows] = (s2 * t0 - s1 * t1) / den
+    pred[~feasible] = np.nan
+    return pred
+
+
+def _cv_kernel(a):
+    """(K*K - 2K)(a) at a = |t| for the Epanechnikov kernel K; reuses a.
+
+    K*K(a) = (3/160)(2 - a)^3 (a^2 + 6a + 4) on [0, 2] and 0 beyond.
+    """
+    b = np.subtract(2.0, a)
+    np.maximum(b, 0.0, out=b)
+    form = b * b
+    form *= b
+    np.add(a, 6.0, out=b)
+    b *= a
+    b += 4.0
+    form *= b
+    form *= 3.0 / 160.0
+    k = _epanechnikov(a)
+    k *= 2.0
+    form -= k
+    return form
+
+
+def windowed_hazard_cv_scores(times, inc, y, bandwidths):
+    """LSCV score of each bandwidth, summed over the windows of K*K."""
+    sums = np.zeros(bandwidths.size)
+    for rows, cols, d, spans in _windows(times, 2.0 * bandwidths):
+        dist = np.abs(d)
+        left, right = inc[rows], inc[cols]
+        for k, (h, span) in enumerate(zip(bandwidths.tolist(), spans)):
+            sums[k] += left @ _cv_kernel(dist[:, span] / h) @ right[span]
+    return sums / bandwidths + (1.5 / bandwidths) * np.sum(inc / y)
 
 
 # ---------------------------------------------------------------------------

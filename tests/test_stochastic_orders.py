@@ -224,7 +224,7 @@ class TestOrderReport:
                 if v.holds:
                     assert kind not in r.witness
                 else:
-                    assert r.witness[kind] == v.index
+                    assert r.witness[kind] == v.point
 
 
 class TestParametricHazardRatio:

@@ -266,3 +266,16 @@ class TestTimeOrder:
             mask = s.arm == arm
             assert sorted(zip(t.tolist(), d.tolist())) == sorted(
                 zip(s.time[mask].tolist(), s.status[mask].tolist()))
+
+    @given(tied_rows)
+    def test_arm_arrays_are_one_mask_over_the_time_sort(self, rows):
+        # each arm's order, split once at construction, is bitwise what
+        # masking the stable time sort by arm gives on every call
+        times, status, arms = (np.array(col) for col in zip(*rows))
+        s = CensoredSample.from_arrays(times, status, arms)
+        order = np.argsort(s.time, kind="stable")
+        for arm in (0, 1):
+            masked = order[s.arm[order] == arm]
+            t, d = s.arm_arrays(arm)
+            assert t.tobytes() == s.time[masked].tobytes()
+            assert d.tobytes() == s.status[masked].tobytes()
