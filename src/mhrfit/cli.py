@@ -26,8 +26,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .inference import (ChernoffConfig, chernoff_table, plugin_ci,
-                        plugin_probability, plugin_scale, split_ci, split_fit)
+from .inference import (ChernoffConfig, _usable_cpus, chernoff_table,
+                        plugin_ci, plugin_probability, plugin_scale, split_ci,
+                        split_fit)
 from .mhr_estimator import (TruncationPolicy, diagnostic_curve, fit_theta,
                             theta_at)
 from .simulation import SCENARIOS, StudyConfig, run_study
@@ -323,7 +324,7 @@ def _resolve_threads(value) -> int:
         if threads < 1:
             raise InputError("THREADS environment variable must be at least 1")
         return threads
-    return os.cpu_count() or 1
+    return _usable_cpus()
 
 
 # ---------------------------------------------------------------------------
@@ -652,8 +653,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--splits", type=int, default=5)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--threads", type=int, default=None,
-                     help="worker processes; defaults to available "
-                          "parallelism or the THREADS environment variable")
+                     help="worker processes; defaults to the THREADS "
+                          "environment variable, then the usable CPUs")
     sim.add_argument("--chernoff-reps", type=int,
                      default=ChernoffConfig.replications)
     sim.add_argument("--chernoff-cache", default=None)

@@ -1,10 +1,13 @@
-"""Shared fixtures: small Monte Carlo tables and reusable datasets."""
+"""Shared fixtures: small Monte Carlo tables, a forced table pool, datasets."""
 from __future__ import annotations
+
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from mhrfit import inference
 from mhrfit.inference import ChernoffConfig, chernoff_table
 from mhrfit.simulation import generate_dataset, make_scenario
 from mhrfit.survival_core import CensoredSample
@@ -21,6 +24,27 @@ settings.load_profile("suite")
 def chernoff4000():
     """Moderate-size quantile table, shared by inference and study tests."""
     return chernoff_table(ChernoffConfig(replications=4000))
+
+
+@pytest.fixture
+def forced_pool(monkeypatch):
+    """force(cpus): chunks of 64 replications on `cpus` usable CPUs.
+
+    Returns the list that records the size of each process pool started.
+    """
+    sizes = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    def force(cpus):
+        monkeypatch.setattr(inference, "_MIN_REPS_PER_WORKER", 64)
+        monkeypatch.setattr(inference, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(inference, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+    return force
 
 
 @pytest.fixture(scope="session")

@@ -200,6 +200,37 @@ def gamma_n_by_sort(sample, r_n):
     return float(min(quantiles))
 
 
+def serial_chernoff_draws(config):
+    """The Chernoff Monte Carlo draws, one fresh replication at a time.
+
+    The library's loop as it was before it ran chunks on a process pool
+    and reused buffers: every replication allocates its own arrays and
+    builds the left half of the path by a reversed cumsum.
+    """
+    from scipy.optimize import isotonic_regression
+
+    half = int(round(config.domain_half_width / config.grid_step))
+    n_grid = 2 * half + 1
+    i0 = half
+    t = (np.arange(n_grid) - i0) * config.grid_step
+    parabola = t * t
+    sqrt_step = math.sqrt(config.grid_step)
+    draws = np.empty(config.replications)
+    for rep in range(config.replications):
+        rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence((config.seed, rep))))
+        incr = rng.standard_normal(n_grid - 1) * sqrt_step
+        b = np.empty(n_grid)
+        b[i0] = 0.0
+        np.cumsum(incr[i0:], out=b[i0 + 1:])
+        b[:i0] = -np.cumsum(incr[:i0][::-1])[::-1]
+        z = b + parabola
+        slopes = np.diff(z) / config.grid_step
+        iso = isotonic_regression(slopes).x
+        draws[rep] = 0.5 * iso[i0 - 1]
+    return draws
+
+
 # ---------------------------------------------------------------------------
 # Closed-form truths of the synthetic scenarios and discrete distributions.
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -300,6 +301,20 @@ def test_out_of_memory_is_one_line(tmp_path, sample_csv, capsys, monkeypatch,
     assert captured.err == ("error: out of memory; the input is too large "
                             "for this machine\n")
     assert not (tmp_path / "o").exists()
+
+
+def test_out_of_memory_in_a_table_worker_is_one_line(tmp_path, capsys,
+                                                     monkeypatch, forced_pool):
+    # two workers, each chunk out of memory
+    sizes = forced_pool(2)
+    monkeypatch.setattr(inference, "_chernoff_draws", raise_memory_error)
+    out = tmp_path / "tab.json"
+    assert cli.main(["chernoff", "--reps", "400", "--out", str(out)]) == 4
+    assert sizes == [2]
+    assert capsys.readouterr().err == ("error: out of memory; the input is "
+                                       "too large for this machine\n")
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
 
 
 TAIL = ("50.00,370.00 201.20,370.00 201.20,282.73 "
@@ -777,6 +792,26 @@ class TestThreadResolution:
     def test_bad_explicit(self):
         with pytest.raises(cli.InputError):
             cli._resolve_threads(0)
+
+    def test_usable_cpus_fallback(self, monkeypatch):
+        # the affinity mask, not the machine's CPU count, as `taskset -c 0`
+        # leaves it
+        monkeypatch.delenv("THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert cli._resolve_threads(None) == 1
+        monkeypatch.setenv("THREADS", "3")
+        assert cli._resolve_threads(None) == 3
+        assert cli._resolve_threads(2) == 2
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delenv("THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert cli._resolve_threads(None) == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._resolve_threads(None) == 1
 
 
 class TestEntryPoint:

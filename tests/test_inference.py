@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 
 import numpy as np
@@ -19,7 +20,7 @@ from mhrfit.inference import (DEFAULT_PROBABILITIES, ChernoffConfig,
                               split_fit)
 from mhrfit.mhr_estimator import MhrFit, fit_theta, theta_at
 from mhrfit.survival_core import CensoredSample, StepFunction
-from oracles import tau_bracket_oracle
+from oracles import serial_chernoff_draws, tau_bracket_oracle
 
 SMALL_MC = ChernoffConfig(replications=400)
 
@@ -112,6 +113,54 @@ class TestChernoffTable:
         monkeypatch.setattr(inference, "_simulate_chernoff", no_simulation)
         with pytest.raises(ValueError, match="is a directory"):
             chernoff_table(SMALL_MC, cache_path=tmp_path)
+
+
+def refuse_chunk(config, start, stop):
+    raise ValueError(f"chunk {start}:{stop} refused")
+
+
+class TestChernoffPool:
+    # 300 replications: four chunks of 64 and one of 44
+    CONFIG = ChernoffConfig(replications=300)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_draws_match_serial_oracle(self, forced_pool, cpus):
+        sizes = forced_pool(cpus)
+        draws = inference._simulate_chernoff(self.CONFIG)
+        assert sizes == ([] if cpus == 1 else [cpus])
+        assert draws.tobytes() == serial_chernoff_draws(self.CONFIG).tobytes()
+        assert multiprocessing.active_children() == []
+
+    def test_pool_capped_at_chunks(self, forced_pool):
+        sizes = forced_pool(3)
+        config = ChernoffConfig(replications=130)  # two chunks of 64, one of 2
+        draws = inference._simulate_chernoff(config)
+        assert sizes == [2]
+        assert draws.tobytes() == serial_chernoff_draws(config).tobytes()
+
+    def test_small_table_stays_in_process(self, forced_pool):
+        # the suite's tables of up to 4000 replications start no processes
+        assert 4000 < 2 * inference._MIN_REPS_PER_WORKER
+        sizes = forced_pool(3)
+        inference._simulate_chernoff(ChernoffConfig(replications=127))
+        assert sizes == []
+
+    def test_daemonic_process_stays_in_process(self, forced_pool,
+                                               monkeypatch):
+        sizes = forced_pool(2)
+        daemon = multiprocessing.Process(daemon=True)
+        monkeypatch.setattr(multiprocessing, "current_process", lambda: daemon)
+        draws = inference._simulate_chernoff(self.CONFIG)
+        assert sizes == []
+        assert draws.tobytes() == serial_chernoff_draws(self.CONFIG).tobytes()
+
+    def test_worker_error_reaches_caller(self, forced_pool, monkeypatch):
+        sizes = forced_pool(2)
+        monkeypatch.setattr(inference, "_chernoff_draws", refuse_chunk)
+        with pytest.raises(ValueError, match=r"^chunk 0:64 refused$"):
+            chernoff_table(self.CONFIG)
+        assert sizes == [2]
+        assert multiprocessing.active_children() == []
 
 
 class TestLocalLinearSlope:
