@@ -9,12 +9,14 @@ Two routes:
   cross-validated local linear smoother.  The x-free parts of tau_n (the
   derivative grid, its bandwidth search and the survival curves) are
   built once per fit by `plugin_scale`; only the local slope and the
-  curve lookups are done per x.  The bandwidth search reads each grid
-  point's leave-level-out window sums off cumulative moments
-  (`_Moments`, shared with the kernel baseline's search): for K candidates
-  and m grid points it takes O(K m log m) time, the log for the exact
-  window ends, and holds O(m) numbers per candidate, at most _BLOCK // 3
-  candidates at a time;
+  curve lookups are done per x.  The bandwidth search takes the grid as
+  it comes, distinct abscissae with nondecreasing responses (the hull's
+  slopes), so each response level is one run of the grid.  It reads each
+  grid point's window sums, with its level's run held out, off
+  cumulative moments (`_Moments`, shared with the kernel baseline's
+  search): for K candidates and m grid points it takes O(K m log m)
+  time, the log for the exact window ends, and holds O(m) numbers per
+  candidate, at most _BLOCK // 3 candidates at a time;
 * sample splitting: average the fits on m random disjoint subsets and form
   a t-interval from their spread, with the t quantile from
   `scipy.special.stdtrit`.
@@ -84,6 +86,9 @@ class ChernoffConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
+        if self.seed < 0:
+            raise ValueError(
+                f"ChernoffConfig seed must be nonnegative, got {self.seed}")
         if self.domain_half_width <= 0 or self.grid_step <= 0:
             raise ValueError("invalid Chernoff Monte Carlo configuration")
         if self.grid_step >= self.domain_half_width:
@@ -440,41 +445,37 @@ def _run_cumsum(table, head, size):
 class _Moments:
     """Cumulative moments of w z^q and w (v - line) z^q, in row blocks.
 
-    For bandwidth h[k], the rows with equal floor((x_i - min x) / h[k]), and
-    equal ``levels`` if given, form a block.  Its origin is its middle row
-    and its centre a is x there (or ``centres`` at its first row), so that
-    z = (x - a) / h[k].  Over the block's reach, from ``reach_lo`` of its
-    first row to ``reach_hi`` of its last, the table holds the cumulative
-    sums of w z^q, lowest <= q <= order, and, given ``values`` v, of
-    w (v - line) z^q, q <= order - lowest.  They are accumulated outward
-    from the origin: entry e is the sum over [origin, e), or minus the sum
-    over [e, origin).  The sum over any [s, e) in the reach is the
-    difference of two entries, neither of which spans more than the reach,
-    about three bandwidths, so the cancellation of prefix sums over all of
-    x cannot arise.
+    For bandwidth h[k], the rows with equal floor((x_i - min x) / h[k])
+    form a block.  Its origin is its middle row and its centre a is x
+    there, so that z = (x - a) / h[k].  Over the block's reach, from
+    ``reach_lo`` of its first row to ``reach_hi`` of its last, the table
+    holds the cumulative sums of w z^q, lowest <= q <= order, and, given
+    ``values`` v, of w (v - line) z^q, q <= order - lowest.  They are
+    accumulated outward from the origin: entry e is the sum over
+    [origin, e), or minus the sum over [e, origin).  The sum over any
+    [s, e) in the reach is the difference of two entries, neither of which
+    spans more than the reach, about three bandwidths, so the cancellation
+    of prefix sums over all of x cannot arise.
 
     w is ``weights``, or ones.  The line goes through v at the block's
-    origin with the slope between its first and last rows; ``ref`` and
-    ``slope`` are its value at the centre and its slope in z, and ``line``
+    origin with the slope between its first and last rows, and ``line`` is
     its value at each row.  ``c`` is (x_i - a) / h[k] for row i, and
     ``span(lo, hi)`` holds the sums over [lo, hi) for each (k, i), in the
     frame of row i's block.
     """
 
     def __init__(self, x, h, reach_lo, reach_hi, *, weights=None, values=None,
-                 order=4, lowest=0, levels=None, centres=None):
+                 order=4, lowest=0):
         K, n = reach_lo.shape
         cell = np.floor((x - x.min()) / h[:, None])
         new = np.ones((K, n), dtype=bool)
         new[:, 1:] = cell[:, 1:] != cell[:, :-1]
-        if levels is not None:
-            new[:, 1:] |= levels[1:] != levels[:-1]
         first = np.flatnonzero(new)
         last = np.append(first[1:], new.size) - 1
         k, first_row = np.divmod(first, n)
         last_row = last - k * n
         origin = (first_row + last_row) // 2
-        centre = x[origin] if centres is None else centres.ravel()[first]
+        centre = x[origin]
         inv = 1.0 / h[k]
         ref = np.zeros(origin.size)
         slope = np.zeros(origin.size)
@@ -499,11 +500,9 @@ class _Moments:
         self._origin = origin[row_block]
         self._right = head[:nb][row_block]
         self._left = head[nb:][row_block]
-        self.centre = centre[row_block].reshape(K, n)
-        self.c = (x - self.centre) * inv[row_block].reshape(K, n)
-        self.ref = ref[row_block].reshape(K, n)
-        self.slope = slope[row_block].reshape(K, n)
-        self.line = self.ref + self.slope * self.c
+        rows = row_block.reshape(K, n)
+        self.c = (x - centre[rows]) * inv[rows]
+        self.line = ref[rows] + slope[rows] * self.c
 
     def span(self, lo, hi):
         """(columns, powers, K, n) sums over [lo, hi) in row i's block."""
@@ -518,51 +517,20 @@ class _Moments:
                                        self._left + (self._origin - e))]
 
 
-def _one_abscissa(u, order, lo, hi, p, q, usable):
-    """Rows whose usable neighbours all share one abscissa (den = 0).
-
-    Exact: with g the tie-group id of each point, the neighbours' integer
-    sums of g and g^2 show a zero variance just when all g are equal.
-    """
-    g = np.r_[0, np.cumsum(u[1:] != u[:-1])]
-    sums = []
-    for power in (1, 2):
-        window = np.r_[0, np.cumsum(g ** power)]
-        held = np.r_[0, np.cumsum(g[order] ** power)]
-        sums.append(window[hi] - window[lo] - (held[q] - held[p]))
-    s1, s2 = sums
-    mean = s1 // np.maximum(usable, 1)
-    return (s1 == usable * mean) & (s2 == usable * mean * mean)
-
-
-def _local_linear(u, y, h, lo, hi, p, q, usable, by_level):
+def _local_linear(u, y, h, lo, hi, p, q, usable):
     """Local-linear predictions at every u_i from its usable neighbours.
 
-    Row i's neighbours at h[k] are [lo, hi) less the held-out points, the
-    positions [p, q) in (y, u) order; ``usable`` counts them.  ``by_level``
-    is that order and the level number along it, or None when y is
-    nondecreasing in u, so that (y, u) order is u order.  The weighted
-    sums come from `_Moments` in the frame of row i's block, with weights
-    1 - (z - c)^2 = (1 - c^2) + 2cz - z^2, and the fitted line is read off
-    at z = c.  y enters less its block's line, which the fit reproduces
-    exactly, so the sums stay small where y is locally linear.
+    Row i's neighbours at h[k] are [lo, hi) less the held-out run [p, q);
+    ``usable`` counts them.  The weighted sums come from `_Moments` in the
+    frame of row i's block, with weights 1 - (z - c)^2 = (1 - c^2) + 2cz -
+    z^2, and the fitted line is read off at z = c.  y enters less its
+    block's line, which the fit reproduces exactly, so the sums stay small
+    where y is locally linear.
     """
     mom = _Moments(u, h, lo, hi, values=y, lowest=1)
-    if by_level is None:
-        # the usable points are [lo, p) and [q, hi)
-        s = mom.span(lo, p)
-        s += mom.span(q, hi)
-    else:
-        order, run = by_level
-        s = mom.span(lo, hi)
-        pp, qq = p[:, order], q[:, order]
-        held = _Moments(u[order], h, pp, qq, lowest=1, levels=run,
-                        centres=mom.centre[:, order])
-        t = held.span(pp, qq)[0][..., np.argsort(order)]
-        s[0] -= t
-        # a held-out point has y = y_i: it enters as (y_i - ref) - slope z
-        t = np.concatenate([(q - p)[None], t])
-        s[1] -= (y - mom.ref) * t[:4] - mom.slope * t[1:]
+    # the usable points are [lo, p) and [q, hi)
+    s = mom.span(lo, p)
+    s += mom.span(q, hi)
     # sums of z^q over the usable points, q <= 4, and of (y - line) z^q, q <= 3
     m, my = np.concatenate([usable[None], s[0]]), s[1]
     c = mom.c
@@ -577,65 +545,49 @@ def _local_linear(u, y, h, lo, hi, p, q, usable, by_level):
 def _loo_predictions(u: np.ndarray, y: np.ndarray, bandwidths: np.ndarray):
     """Leave-level-out local-linear predictions at every u_i, per bandwidth.
 
-    u is sorted.  Row k of the result predicts every point at
-    bandwidths[k], or is nan when that bandwidth is infeasible.  Point i is
-    predicted with every j where y_j == y_i held out, not just itself.
-    With all-distinct responses this is ordinary leave-one-out.  With
-    piecewise-constant responses (slopes read off a convex minorant) plain
-    LOO lets a point be interpolated by its own flat run, which drives the
-    score to favor bandwidths too narrow to see any level change; holding
-    the run out scores real smoothing.  Bandwidths whose windows leave some
-    point with fewer than two usable neighbors, or with all of them at one
-    abscissa, are infeasible.  Both rules are integer arithmetic on the
-    exact window ends of `_window_end`, and only feasible bandwidths are
-    fitted, by `_local_linear`.
+    u is strictly increasing and y nondecreasing in it, as on the
+    derivative grid, where y holds the hull's slopes.  Row k of the result
+    predicts every point at bandwidths[k], or is nan when that bandwidth is
+    infeasible.  Point i is predicted with every j where y_j == y_i held
+    out, not just itself.  With all-distinct responses this is ordinary
+    leave-one-out.  With piecewise-constant responses (slopes read off a
+    convex minorant) plain LOO lets a point be interpolated by its own flat
+    run, which drives the score to favor bandwidths too narrow to see any
+    level change; holding the run out scores real smoothing.  As y is
+    sorted, each level is one contiguous run, and the held-out points of
+    row i are its run clipped to its window.  Bandwidths whose windows
+    leave some point with fewer than two usable neighbors are infeasible;
+    two neighbours never share an abscissa, so no other design degenerates.
+    The rule is integer arithmetic on the exact window ends of `_window_end`, and only
+    feasible bandwidths are fitted, by `_local_linear`.
     """
     bandwidths = np.asarray(bandwidths, dtype=float)
-    n = u.size
-    pred = np.full((bandwidths.size, n), np.nan)
-    # In (y, u) order each level is one run, and the part of row i's level
-    # inside its window is the positions [p, q).  When y is nondecreasing
-    # in u that order is u order, and [p, q) is the run clipped to the
-    # window.
-    monotone = bool(np.all(y[1:] >= y[:-1]))
-    order = np.arange(n) if monotone else np.argsort(y, kind="stable")
-    run = np.r_[0, np.cumsum(y[order][1:] != y[order][:-1])]
-    if monotone:
-        begin = np.searchsorted(run, run, "left")
-        end = np.searchsorted(run, run, "right")
-    else:
-        level = np.empty(n, dtype=np.int64)
-        level[order] = run
-        key = run * (n + 1) + order
-    # only tied abscissae can leave two usable neighbours at one abscissa
-    ties = bool(np.any(u[1:] == u[:-1]))
+    pred = np.full((bandwidths.size, u.size), np.nan)
+    # row i's level is the run [begin, end)
+    begin = np.searchsorted(y, y, "left")
+    end = np.searchsorted(y, y, "right")
     step = _BLOCK // 3
     for s in range(0, bandwidths.size, step):
         h = bandwidths[s:s + step]
         hi = _window_end(u, h)
         lo = _window_start(hi)
-        if monotone:
-            p, q = np.maximum(lo, begin), np.minimum(hi, end)
-        else:
-            p = np.searchsorted(key, level * (n + 1) + lo)
-            q = np.searchsorted(key, level * (n + 1) + hi)
+        p, q = np.maximum(lo, begin), np.minimum(hi, end)
         usable = (hi - lo) - (q - p)
-        infeasible = usable < 2
-        if ties:
-            infeasible |= _one_abscissa(u, order, lo, hi, p, q, usable)
-        ok = np.flatnonzero(~infeasible.any(axis=1))
+        ok = np.flatnonzero((usable >= 2).all(axis=1))
         if ok.size:
-            pred[s + ok] = _local_linear(
-                u, y, h[ok], lo[ok], hi[ok], p[ok], q[ok], usable[ok],
-                None if monotone else (order, run))
+            pred[s + ok] = _local_linear(u, y, h[ok], lo[ok], hi[ok], p[ok],
+                                         q[ok], usable[ok])
     return pred
 
 
 def cv_bandwidth(points, candidates) -> float:
     """Leave-level-out cross-validated bandwidth over a candidate grid.
 
-    Each point is predicted with every point sharing its response held out
-    (see `_loo_predictions`).
+    points are (u, y) pairs in any row order.  Sorted by u, the u must be
+    strictly increasing and the y nondecreasing, as on the plug-in scale's
+    derivative grid; other input raises ValueError.  Each point is
+    predicted with every point sharing its response held out, which on
+    such input is its level's run (see `_loo_predictions`).
 
     Ties within 1e-12 (1 + y.y), which absorbs float noise on exactly-linear
     data, take the largest.
@@ -645,6 +597,9 @@ def cv_bandwidth(points, candidates) -> float:
         raise ValueError("need at least 3 points for cross validation")
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     u, y = pts[order, 0], pts[order, 1]
+    if not (np.all(u[1:] > u[:-1]) and np.all(y[1:] >= y[:-1])):
+        raise ValueError("cross validation needs distinct abscissae and "
+                         "responses nondecreasing in them")
 
     def scores(bandwidths):
         sums = ((_loo_predictions(u, y, bandwidths) - y) ** 2).sum(axis=1)

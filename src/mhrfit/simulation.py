@@ -15,6 +15,7 @@ and process-parallel runs aggregate identically.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -311,7 +312,8 @@ def run_study(config: StudyConfig) -> StudyMetrics:
     if "monotone" in config.methods:
         table = chernoff_table(config.chernoff, cache_path=config.chernoff_cache)
     payloads = [(config, table, rep) for rep in range(config.replications)]
-    if config.threads > 1:
+    # a daemonic process (a multiprocessing.Pool worker) may not start a pool
+    if config.threads > 1 and not multiprocessing.current_process().daemon:
         # one worker per chunk of four replications at most
         workers = min(config.threads, math.ceil(config.replications / 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:

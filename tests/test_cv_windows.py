@@ -116,7 +116,6 @@ PLUGIN_POINTS = {
         generate_dataset(make_scenario("convex"), 500, 0.5, seed=(0, 1))),
     "many-blocks": lambda: plugin_search_inputs(
         generate_dataset(make_scenario("linear"), 5000, 0.5, seed=(0, 1))),
-    "tied-abscissae": lambda: (tied_points(), np.geomspace(0.02, 1.0, 20)),
 }
 
 
@@ -147,6 +146,31 @@ class TestLooPredictions:
         perm = np.random.default_rng(4).permutation(points.shape[0])
         assert (cv_bandwidth(points[perm], candidates)
                 == cv_bandwidth(points, candidates))
+
+
+class TestInputContract:
+    # the search serves the derivative grid: distinct abscissae, and
+    # responses nondecreasing in them, so that each level is one run
+    RULE = "distinct abscissae and responses nondecreasing in them"
+
+    def test_tied_abscissae_refused(self):
+        points = tied_points()
+        assert np.unique(points[:, 0]).size < points.shape[0]
+        with pytest.raises(ValueError, match=self.RULE):
+            cv_bandwidth(points, np.geomspace(0.02, 1.0, 20))
+
+    def test_non_monotone_responses_refused(self):
+        rng = np.random.default_rng(13)
+        u = np.linspace(0.0, 2.0, 60)
+        y = np.sin(3.0 * u) + 0.1 * rng.standard_normal(60)
+        with pytest.raises(ValueError, match=self.RULE):
+            cv_bandwidth(np.column_stack([u, y]), np.geomspace(0.15, 1.0, 8))
+
+    def test_point_count_checked_first(self):
+        # two points at one abscissa, in decreasing order, break the rule
+        # too; the count is reported
+        with pytest.raises(ValueError, match="need at least 3 points"):
+            cv_bandwidth([(0.0, 1.0), (0.0, 0.0)], [0.5])
 
 
 @pytest.mark.parametrize("scenario", ["linear", "convex", "concave"])

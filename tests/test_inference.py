@@ -51,6 +51,8 @@ class TestChernoffConfig:
             ChernoffConfig(grid_step=-0.1)
         with pytest.raises(ValueError):
             ChernoffConfig(domain_half_width=0.004, grid_step=0.005)
+        with pytest.raises(ValueError, match="seed"):
+            ChernoffConfig(replications=10, seed=-1)
 
     def test_digest_distinguishes_configs(self):
         a = ChernoffConfig(replications=100)
@@ -201,7 +203,9 @@ class TestCvBandwidth:
     def test_returns_grid_member_minimizing_score(self):
         rng = np.random.default_rng(13)
         u = np.linspace(0.0, 2.0, 60)
-        y = np.sin(3.0 * u) + 0.1 * rng.standard_normal(60)
+        # nondecreasing, with runs of repeated levels, as on a derivative grid
+        y = np.round(np.maximum.accumulate(u + 0.1 * rng.standard_normal(60)),
+                     1)
         pts = np.column_stack([u, y])
         candidates = np.geomspace(0.15, 1.0, 8)
         h = cv_bandwidth(pts, candidates)

@@ -1,6 +1,7 @@
 """The scripts and the benchmark's traced layers stay in step with the package."""
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -13,6 +14,7 @@ import sys
 
 import pytest
 
+import mhrfit
 from mhrfit import cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -140,3 +142,17 @@ def test_readme_commands_parse():
     assert scripts
     for script in scripts:
         assert (ROOT / script).is_file(), f"README names missing {script}"
+
+
+def test_readme_imports_are_public():
+    # a README snippet importing a renamed, deleted or internal name fails
+    # for its reader
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    names = []
+    for block in re.findall(r"^```python\n(.*?)^```", text, flags=re.M | re.S):
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and node.module == "mhrfit":
+                names += [alias.name for alias in node.names]
+    assert len(names) >= 10
+    missing = sorted(set(names) - set(mhrfit.__all__))
+    assert not missing, f"README imports names not in mhrfit.__all__: {missing}"

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import re
 
 import numpy as np
@@ -290,6 +291,21 @@ class TestRunStudy:
                                  threads=threads)
             assert len(run_study(config).cells) == 1
         assert sizes == [1, 1, 2, 2, 4]
+
+    def test_daemonic_process_stays_in_process(self, monkeypatch):
+        # a multiprocessing.Pool worker may not start a pool of its own
+        base = dict(scenario="linear", n=80, replications=8, grid=(0.8,),
+                    methods=("split",))
+        serial = run_study(StudyConfig(threads=1, **base)).to_csv_text()
+
+        def no_pool(max_workers):
+            raise AssertionError(f"a pool of {max_workers} was started")
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", no_pool)
+        daemon = multiprocessing.Process(daemon=True)
+        monkeypatch.setattr(multiprocessing, "current_process", lambda: daemon)
+        parallel = run_study(StudyConfig(threads=2, **base)).to_csv_text()
+        assert parallel == serial
 
     def test_failed_plugin_interval_keeps_estimate(self):
         # replication 0 is the infeasible_plugin_sample fixture: no plug-in
