@@ -27,24 +27,27 @@ its own seeded stream, so the table is bitwise the same for any number of
 workers.  A small table, or a process with one usable CPU, runs it
 in-process.
 
-Only `scipy.special` is imported at module level.  The Monte Carlo imports
+No scipy module is imported at module level, so a plug-in interval from a
+cached table runs on numpy alone.  `split_ci` imports `scipy.special` at
+its first call.  The Monte Carlo imports
 `scipy.optimize.isotonic_regression` where it runs: in the pool's workers
 for a large table, in the calling process for a small one.  A call that
 reads a cached table, or needs none, never loads `scipy.optimize`.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
 import multiprocessing
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .mhr_estimator import MhrFit, TruncationPolicy, fit_theta, theta_at
 from .survival_core import (CensoredSample, SurvivalCurve, kaplan_meier,
@@ -84,6 +87,7 @@ class ChernoffConfig:
     seed: int = 1234
 
     def __post_init__(self):
+        _integer_fields(self, "replications", "seed")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if self.seed < 0:
@@ -124,6 +128,25 @@ class ChernoffTable:
         # built on the first quantile call; not a field, so equality,
         # asdict and the cache file see only the tuples
         return np.asarray(self.probabilities), np.asarray(self.quantiles)
+
+
+def _integer_fields(config, *names) -> None:
+    """Store each named field of a frozen dataclass as a plain int.
+
+    Any integer (a numpy integer too) passes through `operator.index`, so
+    the field hashes into the digest and serialises as JSON; a float or a
+    bool raises ValueError naming the field.
+    """
+    for name in names:
+        value = getattr(config, name)
+        try:
+            index = operator.index(value)
+        except TypeError:
+            index = None
+        if index is None or isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{type(config).__name__} {name} must be an "
+                             f"integer, got {value!r}")
+        object.__setattr__(config, name, index)
 
 
 def _check_tabulated(p: float, probabilities) -> None:
@@ -237,7 +260,8 @@ def chernoff_table(config: ChernoffConfig = ChernoffConfig(), *,
     """Build (or load from cache) the quantile table for a MC config.
 
     The table covers DEFAULT_PROBABILITIES.  A cache file is used only if
-    its digest, config and probabilities match; otherwise it is rewritten.
+    its digest, config and probabilities match and its numbers are sound
+    (see `_load_table`); otherwise it is rewritten.
     """
     if cache_path is not None and os.path.isdir(cache_path):
         raise ValueError(f"cache path {cache_path} is a directory")
@@ -261,7 +285,12 @@ def chernoff_table(config: ChernoffConfig = ChernoffConfig(), *,
 
 
 def _save_table(table: ChernoffTable, path: str | os.PathLike) -> None:
-    """Write the table as JSON, creating the file's directory if needed."""
+    """Write the table as JSON, creating the file's directory if needed.
+
+    The JSON goes to `<path>.<pid>.tmp` beside the file, which then
+    replaces it, so a concurrent reader sees the old table or the new one
+    and a failed write leaves the old one in place.
+    """
     payload = {
         "config": asdict(table.config),
         "config_digest": table.config.digest(),
@@ -271,25 +300,43 @@ def _save_table(table: ChernoffTable, path: str | os.PathLike) -> None:
         "variance": table.variance,
     }
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _load_table(path: str | os.PathLike) -> ChernoffTable | None:
+    """The cached table, or None if the file is unreadable or unsound.
+
+    Sound means a valid digest, one finite quantile per probability,
+    nondecreasing, and a finite mean and variance.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
         config = ChernoffConfig(**payload["config"])
         if payload.get("config_digest") != config.digest():
             return None
-        return ChernoffTable(
+        table = ChernoffTable(
             probabilities=tuple(payload["probabilities"]),
             quantiles=tuple(payload["quantiles"]),
             mean=payload["mean"],
             variance=payload["variance"],
             config=config,
         )
+        q = table.quantiles
+        if (len(q) != len(table.probabilities)
+                or not all(map(math.isfinite, q + (table.mean, table.variance)))
+                or any(a > b for a, b in zip(q, q[1:]))):
+            return None
+        return table
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError):
         return None
 
@@ -801,6 +848,8 @@ def split_ci(splitfit: SplitFit, x: float, alpha: float) -> ConfidenceInterval:
     estimates = splitfit.estimates_at(x)
     pooled = float(np.mean(estimates))
     sd = float(np.std(estimates, ddof=1))
+    # imported here so that only a split interval pays for scipy.special
+    from scipy.special import stdtrit
     tq = float(stdtrit(splitfit.m - 1, 1.0 - alpha / 2.0))
     half = tq * sd / math.sqrt(splitfit.m)
     return ConfidenceInterval(x=x, estimate=pooled, lower=pooled - half,

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .inference import (_BLOCK, ConfidenceInterval, _epanechnikov, _Moments,
                         _select_bandwidth, _window_end)
@@ -164,6 +163,8 @@ def smooth_hr_ci(fit: tuple[SmoothedHazard, SmoothedHazard], x: float,
     variances = [sm.variance(x) for sm in fit]
     estimate = rates[1] / rates[0]
     se_log = math.sqrt(variances[1] / rates[1] ** 2 + variances[0] / rates[0] ** 2)
+    # imported here so that only a kernel interval pays for scipy.special
+    from scipy.special import ndtri
     z = float(ndtri(1.0 - alpha / 2.0))
     return ConfidenceInterval(x=x, estimate=estimate,
                               lower=estimate * math.exp(-z * se_log),

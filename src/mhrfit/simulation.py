@@ -22,11 +22,10 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
-from scipy.special import fresnel
 
-from .inference import (ChernoffConfig, ChernoffTable, chernoff_table,
-                        plugin_ci, plugin_probability, plugin_scale, split_ci,
-                        split_fit)
+from .inference import (ChernoffConfig, ChernoffTable, _integer_fields,
+                        chernoff_table, plugin_ci, plugin_probability,
+                        plugin_scale, split_ci, split_fit)
 from .kernel_baseline import smooth_hr_ci, smooth_hr_fit
 from .mhr_estimator import fit_theta, theta_at
 from .survival_core import CensoredSample
@@ -74,6 +73,8 @@ def _cum_sqrt(x):
     # integral of sqrt(t) * base(t); the oscillatory part is a Fresnel S integral
     x = np.asarray(x, dtype=float)
     r = np.sqrt(x)
+    # imported here so that only the concave scenario pays for scipy.special
+    from scipy.special import fresnel
     fs, _ = fresnel(np.sqrt(2.0 * _A * x / math.pi))
     return 0.5 * x ** 1.5 - 0.5 * (r * np.sin(_A * x) / _A
                                    - math.sqrt(math.pi / (2.0 * _A)) * fs / _A)
@@ -194,6 +195,7 @@ class StudyConfig:
     chernoff_cache: str | None = None
 
     def __post_init__(self):
+        _integer_fields(self, "n", "replications", "seed", "splits", "threads")
         make_scenario(self.scenario)
         if self.n < 2:
             raise ValueError("n must be at least 2")

@@ -687,6 +687,48 @@ class TestChernoffCommand:
         assert table.read_bytes() == written
 
 
+def drop_last_quantile(body):
+    body["quantiles"].pop()
+
+
+def nan_quantile(body):
+    body["quantiles"][500] = float("nan")
+
+
+def swap_quantiles(body):
+    q = body["quantiles"]
+    q[10], q[900] = q[900], q[10]
+
+
+def infinite_variance(body):
+    body["variance"] = float("inf")
+
+
+@pytest.mark.parametrize("damage", [drop_last_quantile, nan_quantile,
+                                    swap_quantiles, infinite_variance])
+def test_damaged_table_is_rebuilt(tmp_path, sample_csv, capsys, damage):
+    # the digest covers the config only, so it stays valid in each case
+    table = tmp_path / "tab.json"
+    assert cli.main(["chernoff", "--reps", "300", "--out", str(table)]) == 0
+    sound = table.read_bytes()
+    body = json.loads(sound)
+    damage(body)
+    table.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
+    capsys.readouterr()
+    reps = ["--chernoff-reps", "300"]
+    damaged, fresh = tmp_path / "damaged", tmp_path / "fresh"
+    assert cli.main(["estimate", "--input", str(sample_csv), "--ci", "plugin",
+                     "--out", str(damaged), "--chernoff-cache", str(table)]
+                    + reps) == 0
+    assert capsys.readouterr().err == ""
+    assert table.read_bytes() == sound
+    assert cli.main(["estimate", "--input", str(sample_csv), "--ci", "plugin",
+                     "--out", str(fresh)] + reps) == 0
+    rows = (damaged / "ci.csv").read_text().strip().split("\n")[1:]
+    assert len(rows) == 9 and all(",," not in row for row in rows)
+    assert (damaged / "ci.csv").read_bytes() == (fresh / "ci.csv").read_bytes()
+
+
 @pytest.mark.parametrize("command", ["chernoff", "estimate", "simulate"])
 def test_table_path_that_is_a_directory(tmp_path, sample_csv, capsys,
                                         monkeypatch, command):

@@ -1,9 +1,12 @@
 """Chernoff tables, the plug-in scale, and both interval constructions."""
 from __future__ import annotations
 
+import json
 import math
 import multiprocessing
 import os
+import stat
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -115,6 +118,71 @@ class TestChernoffTable:
         monkeypatch.setattr(inference, "_simulate_chernoff", no_simulation)
         with pytest.raises(ValueError, match="is a directory"):
             chernoff_table(SMALL_MC, cache_path=tmp_path)
+
+
+def no_simulation(config):
+    raise AssertionError("Monte Carlo ran")
+
+
+class TestTableFile:
+    def test_write_format_and_mode(self, tmp_path):
+        path = tmp_path / "table.json"
+        table = chernoff_table(SMALL_MC, cache_path=path)
+        payload = {"config": asdict(table.config),
+                   "config_digest": table.config.digest(),
+                   "probabilities": list(table.probabilities),
+                   "quantiles": list(table.quantiles),
+                   "mean": table.mean, "variance": table.variance}
+        assert path.read_text(encoding="utf-8") \
+            == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        # the mode a plain open gives, not a private temp file's 0600
+        plain = tmp_path / "plain"
+        open(plain, "w").close()
+        assert stat.S_IMODE(path.stat().st_mode) \
+            == stat.S_IMODE(plain.stat().st_mode)
+        assert sorted(os.listdir(tmp_path)) == ["plain", "table.json"]
+
+    def test_failed_rewrite_keeps_old_table(self, tmp_path, monkeypatch):
+        path = tmp_path / "table.json"
+        old = chernoff_table(SMALL_MC, cache_path=path)
+        written = path.read_bytes()
+        new = chernoff_table(ChernoffConfig(replications=50))
+
+        def dump_half(obj, fh, **kwargs):
+            fh.write(json.dumps(obj, **kwargs)[:1000])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", dump_half)
+        with pytest.raises(OSError, match="disk full"):
+            inference._save_table(new, path)
+        monkeypatch.undo()
+        assert os.listdir(tmp_path) == ["table.json"]
+        assert path.read_bytes() == written
+        monkeypatch.setattr(inference, "_simulate_chernoff", no_simulation)
+        assert chernoff_table(SMALL_MC, cache_path=path) == old
+
+
+class TestConfigIntegers:
+    def test_numpy_integers_are_ints(self, tmp_path):
+        a = ChernoffConfig(replications=np.int64(60), seed=np.uint16(5))
+        b = ChernoffConfig(replications=60, seed=5)
+        assert type(a.replications) is int and type(a.seed) is int
+        assert a == b and a.digest() == b.digest()
+        chernoff_table(a, cache_path=tmp_path / "a.json")
+        chernoff_table(b, cache_path=tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() \
+            == (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize("field", ["replications", "seed"])
+    @pytest.mark.parametrize("value", [60.0, np.float64(60.0), True,
+                                       np.True_, "60"],
+                             ids=["float", "numpy-float", "bool",
+                                  "numpy-bool", "str"])
+    def test_non_integers_refused(self, monkeypatch, field, value):
+        monkeypatch.setattr(inference, "_simulate_chernoff", no_simulation)
+        with pytest.raises(ValueError, match=f"^ChernoffConfig {field} "
+                                             "must be an integer, got "):
+            chernoff_table(ChernoffConfig(**{field: value}))
 
 
 def refuse_chunk(config, start, stop):

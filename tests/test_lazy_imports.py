@@ -1,8 +1,10 @@
-"""The CLI imports scipy.stats and scipy.optimize only on the paths that use them.
+"""The CLI imports scipy.special, scipy.stats and scipy.optimize only on the
+paths that use them.
 
-Each check runs in a fresh interpreter, because this test process has
-loaded both packages already.  It records which modules are loaded; it
-does not time anything.
+Each command runs in its own fresh interpreter, because this test process
+has loaded all three already and one command's import would hide the
+next one's.  It records which modules are loaded; it does not time
+anything.
 """
 from __future__ import annotations
 
@@ -12,73 +14,103 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from mhrfit.inference import ChernoffConfig, chernoff_table
 from mhrfit.simulation import generate_dataset, make_scenario
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
-# Runs `import mhrfit`, `import mhrfit.cli`, then each argv (a JSON list of
-# [label, argv] pairs) through cli.main in the same process; prints, as its
-# last stdout line, [label, exit code, lazy modules loaded] per step.
+# Runs `import mhrfit`, `import mhrfit.cli`, then one argv (JSON) through
+# cli.main; prints, as its last stdout line, the scipy modules loaded after
+# each import and the exit code with the lazy modules loaded after the call.
 SCRIPT = """
 import json, sys
-LAZY = ("scipy.stats", "scipy.optimize")
+LAZY = ("scipy.special", "scipy.stats", "scipy.optimize")
+def scipy():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 def lazy():
-    return sorted({m.split(".")[0] + "." + m.split(".")[1]
-                   for m in sys.modules if m.startswith(LAZY)})
-steps = []
+    return sorted({".".join(m.split(".")[:2]) for m in sys.modules
+                   if m.startswith(LAZY)})
 import mhrfit
-steps.append(["import mhrfit", 0, lazy()])
+after_package = scipy()
 from mhrfit import cli
-steps.append(["import mhrfit.cli", 0, lazy()])
-for label, argv in json.loads(sys.argv[1]):
-    steps.append([label, cli.main(argv), lazy()])
-print(json.dumps(steps))
+after_cli = scipy()
+code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([after_package, after_cli, code, lazy()]))
 """
 
 
-def run_steps(calls):
+def run_command(argv):
+    """(scipy modules after each import, exit code, lazy modules after)."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(calls)],
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(argv)],
                           capture_output=True, text=True, env=env, check=True)
-    return json.loads(proc.stdout.strip().split("\n")[-1])
+    after_package, after_cli, code, lazy = json.loads(
+        proc.stdout.strip().split("\n")[-1])
+    assert after_package == [] and after_cli == []
+    return code, lazy
 
 
-def test_timed_commands_load_neither(tmp_path):
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """(data CSV, the flags that read a warm 50-replication table, tmp dir)."""
+    tmp = tmp_path_factory.mktemp("lazy")
     sample = generate_dataset(make_scenario("linear"), 300, 0.5, seed=3)
-    data = tmp_path / "data.csv"
+    data = tmp / "data.csv"
     data.write_text("time,status,arm\n" + "".join(
         f"{t!r},{d},{a}\n" for t, d, a in zip(
             sample.time.tolist(), sample.status.tolist(), sample.arm.tolist())))
-    cache = tmp_path / "table.json"
+    cache = tmp / "table.json"
     chernoff_table(ChernoffConfig(replications=50), cache_path=cache)
     warm = ["--chernoff-reps", "50", "--chernoff-cache", str(cache)]
-    calls = [
-        ["estimate split", ["estimate", "--input", str(data), "--ci", "split",
-                            "--out", str(tmp_path / "split")]],
-        ["estimate plugin", ["estimate", "--input", str(data), "--ci", "plugin",
-                             "--out", str(tmp_path / "plugin")] + warm],
-        ["diagnose", ["diagnose", "--input", str(data),
-                      "--out", str(tmp_path / "diag")]],
-        ["simulate", ["simulate", "--scenario", "linear", "--n", "80",
-                      "--reps", "1", "--grid", "0.8",
-                      "--methods", "monotone,split,kernel", "--threads", "1",
-                      "--out", str(tmp_path / "sim")] + warm],
-    ]
-    labels = ["import mhrfit", "import mhrfit.cli"] + [c[0] for c in calls]
-    assert run_steps(calls) == [[label, 0, []] for label in labels]
+    return data, warm, tmp
+
+
+def simulate(methods, scenario="linear"):
+    return ["simulate", "--scenario", scenario, "--n", "80", "--reps", "1",
+            "--grid", "0.8", "--methods", methods, "--threads", "1"]
+
+
+# label -> (argv before --out, reads the warm table, lazy modules loaded)
+COMMANDS = {
+    "estimate-plugin": (["estimate", "--ci", "plugin"], True, []),
+    "diagnose": (["diagnose"], False, []),
+    "simulate-monotone": (simulate("monotone"), True, []),
+    "estimate-split": (["estimate", "--ci", "split"], False,
+                       ["scipy.special"]),
+    "estimate-both": (["estimate", "--ci", "both"], True, ["scipy.special"]),
+    "simulate-split": (simulate("split"), False, ["scipy.special"]),
+    "simulate-kernel": (simulate("kernel"), False, ["scipy.special"]),
+    "simulate-concave-monotone": (simulate("monotone", "concave"), True,
+                                  ["scipy.special"]),
+}
+
+
+@pytest.mark.parametrize("label", COMMANDS)
+def test_command_loads_only_what_it_calls(inputs, label):
+    data, warm, tmp = inputs
+    argv, reads_table, expected = COMMANDS[label]
+    if argv[0] != "simulate":
+        argv = argv + ["--input", str(data)]
+    argv = argv + ["--out", str(tmp / label)]
+    assert run_command(argv + (warm if reads_table else [])) == (0, expected)
 
 
 def test_cold_chernoff_table_loads_optimize(tmp_path):
-    steps = run_steps([["chernoff", ["chernoff", "--reps", "50",
-                                     "--out", str(tmp_path / "cold.json")]]])
-    assert steps[1] == ["import mhrfit.cli", 0, []]
-    label, code, lazy = steps[2]
+    code, lazy = run_command(["chernoff", "--reps", "50",
+                              "--out", str(tmp_path / "cold.json")])
     assert code == 0 and "scipy.optimize" in lazy
 
 
 def test_figure1_loads_stats():
-    steps = run_steps([["figure1", ["order-check", "--figure1"]]])
-    assert steps[1] == ["import mhrfit.cli", 0, []]
-    label, code, lazy = steps[2]
+    code, lazy = run_command(["order-check", "--figure1"])
     assert code == 0 and "scipy.stats" in lazy
+
+
+def test_order_check_of_two_files_loads_none(tmp_path):
+    files = [tmp_path / "s.csv", tmp_path / "t.csv"]
+    for path, masses in zip(files, ((0.25, 0.75), (0.75, 0.25))):
+        path.write_text("support,mass\n" + "".join(
+            f"{k + 1}.0,{m}\n" for k, m in enumerate(masses)))
+    assert run_command(["order-check"] + [str(f) for f in files]) == (0, [])

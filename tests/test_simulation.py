@@ -194,6 +194,33 @@ class TestStudyConfig:
             with pytest.raises(ValueError):
                 StudyConfig(**{**ok, **bad})
 
+    def test_numpy_integers_are_ints(self):
+        fields = dict(n=120, replications=2, seed=3, splits=3, threads=1)
+        plain = StudyConfig(scenario="linear", grid=(0.5, 1.0),
+                            methods=("split",), **fields)
+        numpy = StudyConfig(scenario="linear", grid=(0.5, 1.0),
+                            methods=("split",),
+                            **{k: np.int64(v) for k, v in fields.items()})
+        assert all(type(getattr(numpy, k)) is int for k in fields)
+        assert numpy == plain
+        assert run_study(numpy).to_json_text() \
+            == run_study(plain).to_json_text()
+
+    @pytest.mark.parametrize("field",
+                             ["n", "replications", "seed", "splits", "threads"])
+    @pytest.mark.parametrize("value", [120.0, np.float64(2.0), True],
+                             ids=["float", "numpy-float", "bool"])
+    def test_float_or_bool_refused(self, monkeypatch, field, value):
+        def no_study(payload):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(simulation, "_run_replication", no_study)
+        ok = dict(scenario="linear", n=100, replications=2, grid=(1.0,),
+                  methods=("split",))
+        with pytest.raises(ValueError, match=f"^StudyConfig {field} must be "
+                                             "an integer, got "):
+            run_study(StudyConfig(**{**ok, field: value}))
+
     def test_unknown_scenario_refused_before_monte_carlo(self, monkeypatch):
         def no_simulation(config):
             raise AssertionError("Monte Carlo ran")
