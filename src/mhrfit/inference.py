@@ -40,10 +40,8 @@ import contextlib
 import hashlib
 import json
 import math
-import multiprocessing
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -130,6 +128,20 @@ class ChernoffTable:
         return np.asarray(self.probabilities), np.asarray(self.quantiles)
 
 
+def _plain_int(value) -> int | None:
+    """value as a plain int when it is an integer (a numpy one too), else None.
+
+    A bool is refused: it is an integer to Python, but never a count or a
+    seed here.
+    """
+    if isinstance(value, (bool, np.bool_)):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 def _integer_fields(config, *names) -> None:
     """Store each named field of a frozen dataclass as a plain int.
 
@@ -139,11 +151,8 @@ def _integer_fields(config, *names) -> None:
     """
     for name in names:
         value = getattr(config, name)
-        try:
-            index = operator.index(value)
-        except TypeError:
-            index = None
-        if index is None or isinstance(value, (bool, np.bool_)):
+        index = _plain_int(value)
+        if index is None:
             raise ValueError(f"{type(config).__name__} {name} must be an "
                              f"integer, got {value!r}")
         object.__setattr__(config, name, index)
@@ -185,6 +194,27 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _process_pool(workers: int):
+    """A process pool of `workers` workers, or None in a daemonic process.
+
+    A daemonic process (a multiprocessing.Pool worker) may not start one.
+    The pool machinery is imported here, so that only a call that may start
+    a pool loads it: a cold table of 2 * _MIN_REPS_PER_WORKER replications
+    or more on two usable CPUs or more, and `run_study` with threads
+    above 1.
+
+    The pool uses the platform's default start method: fork on Linux.
+    Spawned workers re-import numpy, scipy and mhrfit (a 20k table took
+    4.1-4.6 s against 3.4-3.6 s forked, on a 2-CPU VM) and re-run a calling
+    script that lacks a __main__ guard.
+    """
+    import multiprocessing
+    if multiprocessing.current_process().daemon:
+        return None
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def _simulate_chernoff(config: ChernoffConfig) -> np.ndarray:
     """Per-replication slope-at-zero draws, already halved to the W scale.
 
@@ -197,16 +227,11 @@ def _simulate_chernoff(config: ChernoffConfig) -> np.ndarray:
     """
     reps = config.replications
     workers = min(_usable_cpus(), reps // _MIN_REPS_PER_WORKER)
-    # a daemonic process (a multiprocessing.Pool worker) may not start one
-    if workers < 2 or multiprocessing.current_process().daemon:
+    pool = _process_pool(workers) if workers >= 2 else None
+    if pool is None:
         return _chernoff_draws(config, 0, reps)
     starts = range(0, reps, _MIN_REPS_PER_WORKER)
     stops = [min(start + _MIN_REPS_PER_WORKER, reps) for start in starts]
-    # the platform's default start method, as run_study's pool: fork on
-    # Linux.  Spawned workers re-import numpy, scipy and mhrfit (a 20k
-    # table took 4.1-4.6 s against 3.4-3.6 s forked, on a 2-CPU VM) and
-    # re-run a calling script that lacks a __main__ guard.
-    pool = ProcessPoolExecutor(max_workers=workers)
     try:
         return np.concatenate(list(pool.map(
             _chernoff_draws, [config] * len(stops), starts, stops)))

@@ -1,8 +1,6 @@
 """Shared fixtures: small Monte Carlo tables, a forced table pool, datasets."""
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -33,16 +31,18 @@ def forced_pool(monkeypatch):
     Returns the list that records the size of each process pool started.
     """
     sizes = []
+    process_pool = inference._process_pool
 
-    class RecordingPool(ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers)
+    def recording_pool(workers):
+        pool = process_pool(workers)
+        if pool is not None:
+            sizes.append(workers)
+        return pool
 
     def force(cpus):
         monkeypatch.setattr(inference, "_MIN_REPS_PER_WORKER", 64)
         monkeypatch.setattr(inference, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(inference, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(inference, "_process_pool", recording_pool)
         return sizes
     return force
 

@@ -245,6 +245,31 @@ def true_cumulative_hazard(scenario, arm, x):
     return f(x)
 
 
+def bisect_cumulative(cum, targets):
+    """Solve cum(t) = target per entry by bracketed bisection to 1e-10.
+
+    The library's event-time inverter as it was before it snapped a secant
+    root onto the bisection's final bracket: every target is bisected, all
+    the way down from its doubled bracket [0, hi].
+    """
+    targets = np.asarray(targets, dtype=float)
+    hi = np.ones_like(targets)
+    for _ in range(80):
+        low = cum(hi) < targets
+        if not low.any():
+            break
+        hi = np.where(low, 2.0 * hi, hi)
+    else:
+        raise ValueError("failed to bracket event time")
+    lo = np.zeros_like(targets)
+    while np.max(hi - lo) > 1e-10:
+        mid = 0.5 * (lo + hi)
+        below = cum(mid) < targets
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 def discrete_hazard(d: DiscreteDistribution) -> np.ndarray:
     """Hazard at each support point: mass over survival just before it."""
     rates = np.empty(len(d.masses))

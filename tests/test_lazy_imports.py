@@ -1,5 +1,6 @@
 """The CLI imports scipy.special, scipy.stats and scipy.optimize only on the
-paths that use them.
+paths that use them, and the process-pool machinery (`concurrent.futures`,
+`multiprocessing`) only where a pool may start, never at import.
 
 Each command runs in its own fresh interpreter, because this test process
 has loaded all three already and one command's import would hide the
@@ -22,27 +23,29 @@ from mhrfit.simulation import generate_dataset, make_scenario
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 # Runs `import mhrfit`, `import mhrfit.cli`, then one argv (JSON) through
-# cli.main; prints, as its last stdout line, the scipy modules loaded after
-# each import and the exit code with the lazy modules loaded after the call.
+# cli.main; prints, as its last stdout line, the scipy and pool modules
+# loaded after each import and the exit code with the lazy modules loaded
+# after the call.
 SCRIPT = """
 import json, sys
 LAZY = ("scipy.special", "scipy.stats", "scipy.optimize")
-def scipy():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def eager():
+    return sorted(m for m in sys.modules if m.split(".")[0] in
+                  ("scipy", "concurrent", "multiprocessing"))
 def lazy():
     return sorted({".".join(m.split(".")[:2]) for m in sys.modules
                    if m.startswith(LAZY)})
 import mhrfit
-after_package = scipy()
+after_package = eager()
 from mhrfit import cli
-after_cli = scipy()
+after_cli = eager()
 code = cli.main(json.loads(sys.argv[1]))
 print(json.dumps([after_package, after_cli, code, lazy()]))
 """
 
 
 def run_command(argv):
-    """(scipy modules after each import, exit code, lazy modules after)."""
+    """(exit code, lazy modules after), once the imports loaded none."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(argv)],
                           capture_output=True, text=True, env=env, check=True)

@@ -8,6 +8,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from mhrfit import inference, simulation
@@ -16,7 +18,7 @@ from mhrfit.simulation import (MetricCell, StudyConfig, StudyMetrics,
                                generate_dataset, make_scenario, run_study,
                                _sample_censoring, _aggregate, _cum_base,
                                _invert_cumulative)
-from oracles import true_cumulative_hazard
+from oracles import bisect_cumulative, true_cumulative_hazard
 
 SCENARIOS = ("linear", "convex", "concave")
 
@@ -95,6 +97,92 @@ class TestInversion:
         assert t == pytest.approx(1.0, abs=1e-8)
 
 
+# every scenario's two cumulative hazards, as (scenario, arm) ids
+ARMS = [(name, arm) for name in SCENARIOS for arm in (0, 1)]
+
+
+def arm_cumulative(name, arm):
+    scenario = make_scenario(name)
+    return (scenario.cumulative_control if arm == 0
+            else scenario.cumulative_treatment)
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert differ.size == 0, (
+        f"{differ.size} of {got.size} differ; first at {differ[0]}: "
+        f"{float(got[differ[0]]).hex()} != {float(want[differ[0]]).hex()}")
+
+
+class TestInversionIsBisection:
+    """_invert_cumulative returns the bisection's bits, not just its roots."""
+
+    @pytest.mark.parametrize("n", [1, 500, 50_000])
+    @pytest.mark.parametrize("name,arm", ARMS)
+    def test_exponential_targets(self, name, arm, n):
+        cum = arm_cumulative(name, arm)
+        targets = np.random.default_rng(n + arm).exponential(size=n)
+        assert_bitwise(_invert_cumulative(cum, targets),
+                       bisect_cumulative(cum, targets))
+
+    @pytest.mark.parametrize("name,arm", ARMS)
+    def test_edge_targets(self, name, arm):
+        cum = arm_cumulative(name, arm)
+        targets = np.array([
+            # where a treatment hazard vanishes and cum cancels its terms
+            1e-12, 5e-324,
+            # brackets of 2**5 and 2**6
+            float(cum(20.0)), float(cum(40.0)),
+            # cum at a multiple of every bracket's final width
+            float(cum(0.75)), float(cum(3.0))])
+        want = bisect_cumulative(cum, targets)
+        assert want[2] > 16.0 and want[3] > 32.0
+        assert_bitwise(_invert_cumulative(cum, targets), want)
+        for target in targets:
+            assert_bitwise(_invert_cumulative(cum, [target]),
+                           bisect_cumulative(cum, [target]))
+
+    @given(st.sampled_from(ARMS),
+           st.lists(st.floats(min_value=5e-324, max_value=50.0),
+                    min_size=1, max_size=20))
+    def test_positive_targets(self, name_arm, targets):
+        cum = arm_cumulative(*name_arm)
+        assert_bitwise(_invert_cumulative(cum, targets),
+                       bisect_cumulative(cum, targets))
+
+    @pytest.mark.parametrize("shift", [np.nan, 1e-9, -1e-9])
+    @pytest.mark.parametrize("name,arm", ARMS)
+    def test_every_target_bisected_after_a_spoilt_start(self, monkeypatch,
+                                                         name, arm, shift):
+        # each start lands in no bracket the check accepts, so every target
+        # takes the bisection, which must still give the oracle's bits
+        secant_root = simulation._secant_root
+        monkeypatch.setattr(
+            simulation, "_secant_root",
+            lambda cum, targets, top: secant_root(cum, targets, top) + shift)
+        sizes = []
+        cum = arm_cumulative(name, arm)
+
+        def recording(x):
+            sizes.append(np.size(x))
+            return cum(x)
+
+        targets = np.random.default_rng(arm).exponential(size=300)
+        assert_bitwise(_invert_cumulative(recording, targets),
+                       bisect_cumulative(cum, targets))
+        assert sizes[-1] == targets.size
+
+    @pytest.mark.parametrize("name,arm", ARMS)
+    def test_unreachable_target_refused(self, name, arm):
+        cum = arm_cumulative(name, arm)
+        for invert in (_invert_cumulative, bisect_cumulative):
+            with pytest.raises(ValueError,
+                               match="^failed to bracket event time$"):
+                invert(cum, np.array([0.5, np.inf]))
+
+
 class TestCensoring:
     def test_range_and_atoms(self):
         rng = np.random.default_rng(3)
@@ -138,6 +226,22 @@ class TestGenerateDataset:
         d = generate_dataset(sc, 50, 0.5, seed=np.int64(3))
         e = generate_dataset(sc, 50, 0.5, seed=3)
         assert all(np.array_equal(getattr(d, k), getattr(e, k)) for k in columns)
+
+    @pytest.mark.parametrize("seed", [True, np.True_, 1.5, -1, (0, -2),
+                                      (0, 1.5), (0, False), [0, 1], "3",
+                                      None])
+    def test_seed_refused(self, seed):
+        sc = make_scenario("linear")
+        with pytest.raises(ValueError, match=r"^seed must be a nonnegative "
+                                             r"integer or a tuple of them"):
+            generate_dataset(sc, 10, 0.5, seed=seed)
+
+    def test_numpy_integer_tuple_seed(self):
+        sc = make_scenario("linear")
+        a = generate_dataset(sc, 50, 0.5, seed=(np.uint8(7), np.int64(3)))
+        b = generate_dataset(sc, 50, 0.5, seed=(7, 3))
+        assert all(np.array_equal(getattr(a, k), getattr(b, k))
+                   for k in ("time", "status", "arm"))
 
     def test_arm_fraction(self):
         sc = make_scenario("linear")
@@ -298,8 +402,8 @@ class TestRunStudy:
         sizes = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+            def __init__(self, workers):
+                sizes.append(workers)
 
             def __enter__(self):
                 return self
@@ -311,7 +415,7 @@ class TestRunStudy:
                 assert chunksize == 4
                 return map(func, payloads)
 
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(simulation, "_process_pool", RecordingPool)
         for reps, threads in ((1, 4), (4, 4), (5, 4), (9, 2), (13, 8)):
             config = StudyConfig(scenario="linear", n=80, replications=reps,
                                  grid=(0.8,), methods=("split",),
@@ -325,10 +429,14 @@ class TestRunStudy:
                     methods=("split",))
         serial = run_study(StudyConfig(threads=1, **base)).to_csv_text()
 
-        def no_pool(max_workers):
-            raise AssertionError(f"a pool of {max_workers} was started")
+        def no_pool(workers):
+            pool = inference._process_pool(workers)
+            if pool is not None:
+                pool.shutdown()
+                raise AssertionError(f"a pool of {workers} was started")
+            return pool
 
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(simulation, "_process_pool", no_pool)
         daemon = multiprocessing.Process(daemon=True)
         monkeypatch.setattr(multiprocessing, "current_process", lambda: daemon)
         parallel = run_study(StudyConfig(threads=2, **base)).to_csv_text()
