@@ -26,9 +26,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .inference import (ChernoffConfig, _usable_cpus, chernoff_table,
-                        plugin_ci, plugin_probability, plugin_scale, split_ci,
-                        split_fit)
+from .inference import (ChernoffConfig, _interval_probability, _usable_cpus,
+                        chernoff_table, plugin_ci, plugin_probability,
+                        plugin_scale, split_ci, split_fit)
 from .mhr_estimator import (TruncationPolicy, diagnostic_curve, fit_theta,
                             theta_at)
 from .simulation import SCENARIOS, StudyConfig, run_study
@@ -402,11 +402,13 @@ def _format_cell(value) -> str:
 def cmd_estimate(args) -> int:
     if not 0.0 < args.alpha < 1.0:
         raise InputError("--alpha must lie in (0, 1)")
-    if args.ci != "split":
-        try:
+    try:
+        if args.ci == "split":
+            _interval_probability(args.alpha)
+        else:
             plugin_probability(args.alpha)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     if args.splits < 2:
         raise InputError("--splits must be at least 2")
     try:

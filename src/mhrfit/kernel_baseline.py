@@ -11,7 +11,8 @@ moments of `inference._Moments`: for K candidates and E event times a
 search takes O(K E log E) time and holds O(E) numbers per candidate, at
 most `inference._BLOCK // 3` candidates at a time.  The ratio gets a
 delta-method interval on the log scale, with the normal quantile from
-`scipy.special.ndtri`.  No boundary correction is applied, and nothing
+the standard library's `statistics.NormalDist` (Wichura's AS241, within
+a few ulps of scipy's).  No boundary correction is applied, and nothing
 constrains the ratio to be monotone.
 """
 from __future__ import annotations
@@ -21,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import (_BLOCK, ConfidenceInterval, _epanechnikov, _Moments,
-                        _select_bandwidth, _window_end)
+from .inference import (_BLOCK, ConfidenceInterval, _epanechnikov,
+                        _interval_probability, _Moments, _select_bandwidth,
+                        _window_end)
 from .survival_core import CensoredSample, _hazard_increments
 
 __all__ = [
@@ -154,8 +156,7 @@ def smooth_hr_fit(
 def smooth_hr_ci(fit: tuple[SmoothedHazard, SmoothedHazard], x: float,
                  alpha: float = 0.05) -> ConfidenceInterval:
     """Smoothed hazard ratio lambda_S(x)/lambda_T(x) with a log-scale interval."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    p = _interval_probability(alpha)
     rates = [sm.rate(x) for sm in fit]
     for sm, rate in zip(fit, rates):
         if rate <= 0:
@@ -163,9 +164,9 @@ def smooth_hr_ci(fit: tuple[SmoothedHazard, SmoothedHazard], x: float,
     variances = [sm.variance(x) for sm in fit]
     estimate = rates[1] / rates[0]
     se_log = math.sqrt(variances[1] / rates[1] ** 2 + variances[0] / rates[0] ** 2)
-    # imported here so that only a kernel interval pays for scipy.special
-    from scipy.special import ndtri
-    z = float(ndtri(1.0 - alpha / 2.0))
+    # imported here so that only a kernel interval pays for statistics
+    from statistics import NormalDist
+    z = NormalDist().inv_cdf(p)
     return ConfidenceInterval(x=x, estimate=estimate,
                               lower=estimate * math.exp(-z * se_log),
                               upper=estimate * math.exp(z * se_log),

@@ -26,8 +26,9 @@ from typing import Callable
 import numpy as np
 
 from .inference import (ChernoffConfig, ChernoffTable, _integer_fields,
-                        _plain_int, _process_pool, chernoff_table, plugin_ci,
-                        plugin_probability, plugin_scale, split_ci, split_fit)
+                        _interval_probability, _plain_int, _process_pool,
+                        chernoff_table, plugin_ci, plugin_probability,
+                        plugin_scale, split_ci, split_fit)
 from .kernel_baseline import smooth_hr_ci, smooth_hr_fit
 from .mhr_estimator import fit_theta, theta_at
 from .survival_core import CensoredSample
@@ -276,8 +277,7 @@ class StudyConfig:
         for i, x in enumerate(self.grid):
             if x in self.grid[:i]:
                 raise ValueError(f"grid point {x!r} repeated")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
+        _interval_probability(self.alpha)
         if not self.methods:
             raise ValueError("methods must not be empty")
         for i, method in enumerate(self.methods):

@@ -249,9 +249,14 @@ def refuse_to_read(path):
     (["estimate", "--rn", "1.5"],
      "error: --rn: fraction must lie in (0, 1), got 1.5\n"),
     (["diagnose", "--rn", "soon"],
-     "error: --rn must be 'auto' or a number, got 'soon'\n")],
+     "error: --rn must be 'auto' or a number, got 'soon'\n"),
+    (["estimate", "--ci", "split", "--alpha", "1e-17"],
+     "error: alpha=1e-17 is too small: 1 - alpha/2 rounds to 1\n"),
+    (["estimate", "--ci", "both", "--alpha", "1e-17"],
+     "error: alpha=1e-17 is too small: 1 - alpha/2 rounds to 1\n")],
     ids=["grid-text", "grid-nan", "grid-repeated", "estimate-rn",
-         "estimate-rn-range", "diagnose-rn"])
+         "estimate-rn-range", "diagnose-rn", "split-alpha-rounds-to-one",
+         "both-alpha-rounds-to-one"])
 def test_flags_checked_before_reading(tmp_path, sample_csv, capsys,
                                       monkeypatch, argv, message):
     monkeypatch.setattr(cli, "_read_sample", refuse_to_read)
@@ -502,9 +507,20 @@ class TestSimulate:
                                 "--out", str(out)]) == 2
         assert "too small for a plug-in interval" in capsys.readouterr().err
         assert not out.exists()
-        # without the plug-in interval any alpha in (0, 1) is served
+        # without the plug-in interval any alpha in (0, 1) is served whose
+        # 1 - alpha/2 stays below 1
         assert cli.main(argv + ["--methods", "split",
                                 "--out", str(out)]) == 0
+
+    def test_alpha_rounding_to_one_refused(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--scenario", "linear", "--n", "80",
+                         "--reps", "1", "--grid", "0.8", "--alpha", "1e-17",
+                         "--methods", "split,kernel", "--threads", "1",
+                         "--out", str(out)]) == 2
+        assert ("alpha=1e-17 is too small: 1 - alpha/2 rounds to 1"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_chernoff_cache_reused(self, tmp_path):
         cache = tmp_path / "tab.json"

@@ -10,6 +10,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 from scipy.special import stdtrit
 from scipy.stats import t as student_t
 
@@ -18,9 +19,9 @@ from mhrfit import inference
 from mhrfit.inference import (DEFAULT_PROBABILITIES, ChernoffConfig,
                               ChernoffTable, ConfidenceInterval, SplitFit,
                               _derivative_grid, _local_linear_slope,
-                              chernoff_table, cv_bandwidth, plugin_ci,
-                              plugin_probability, plugin_scale, split_ci,
-                              split_fit)
+                              _t_quantile, chernoff_table, cv_bandwidth,
+                              plugin_ci, plugin_probability, plugin_scale,
+                              split_ci, split_fit)
 from mhrfit.mhr_estimator import MhrFit, fit_theta, theta_at
 from mhrfit.survival_core import CensoredSample, StepFunction
 from oracles import serial_chernoff_draws, tau_bracket_oracle
@@ -504,6 +505,57 @@ class TestPluginScale:
                 plugin_ci(fit, s, x, 0.05, chernoff4000, scale=scale)
 
 
+class TestTQuantile:
+    def test_matches_stdtrit(self):
+        p = np.asarray(DEFAULT_PROBABILITIES)
+        for df in [*range(1, 201), 500, 1000]:
+            ref = stdtrit(df, p)
+            got = np.array([_t_quantile(df, x) for x in DEFAULT_PROBABILITIES])
+            err = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
+            assert err.max() <= 1e-12, (df, p[err.argmax()])
+
+    def test_small_df_tails(self):
+        # past the tabulated range, where the tail sum keeps small df accurate
+        tails = 10.0 ** -np.arange(4.0, 16.0)
+        for df in range(1, 11):
+            for p in (tails, 1.0 - tails):
+                ref = stdtrit(df, p)
+                got = np.array([_t_quantile(df, x) for x in p.tolist()])
+                assert np.all(np.abs(got - ref) <= 1e-11 * np.abs(ref)), df
+
+    def test_closed_forms(self):
+        assert _t_quantile(1, 0.75) == pytest.approx(1.0, rel=1e-15)
+        assert _t_quantile(2, 0.9) == pytest.approx(4.0 * math.sqrt(2.0) / 3.0,
+                                                     rel=1e-15)
+        for p in DEFAULT_PROBABILITIES:
+            assert _t_quantile(1, p) == pytest.approx(
+                math.tan(math.pi * (p - 0.5)), rel=1e-13, abs=1e-15)
+            assert _t_quantile(2, p) == pytest.approx(
+                (2.0 * p - 1.0) / math.sqrt(2.0 * p * (1.0 - p)),
+                rel=1e-14, abs=1e-15)
+
+    def test_symmetry(self):
+        for df in (1, 2, 3, 4, 5, 30, 1000):
+            assert _t_quantile(df, 0.5) == 0.0
+            # 1 - p is exact for p >= 0.5
+            for p in DEFAULT_PROBABILITIES[499:]:
+                assert _t_quantile(df, 1.0 - p) == -_t_quantile(df, p)
+
+    @given(df=st.integers(1, 1000), a=st.floats(1e-6, 1.0 - 1e-6),
+           b=st.floats(1e-6, 1.0 - 1e-6))
+    def test_increasing(self, df, a, b):
+        lo, hi = sorted((a, b))
+        # further apart than the root finder's own error
+        assume(hi - lo >= 1e-9)
+        assert _t_quantile(df, lo) < _t_quantile(df, hi)
+
+    @pytest.mark.parametrize("df,p", [(0, 0.9), (4, 0.0), (4, 1.0),
+                                      (4, math.nan)])
+    def test_domain(self, df, p):
+        with pytest.raises(ValueError, match="need df >= 1"):
+            _t_quantile(df, p)
+
+
 class TestSplitFit:
     def test_pinned_pooled_and_sd(self):
         fits = tuple(constant_theta_fit(v) for v in (1.0, 1.2, 0.8, 1.1, 0.9))
@@ -517,8 +569,8 @@ class TestSplitFit:
         assert ci.method == "split"
 
     def test_t_quantile_matches_scipy_stats(self):
-        # split_ci takes its quantile from scipy.special, not scipy.stats;
-        # the two must agree bit for bit so intervals do not move.
+        # scipy.special.stdtrit, the reference TestTQuantile holds split_ci's
+        # quantile to, agrees bit for bit with scipy.stats.
         df = np.arange(1, 101, dtype=float)[:, None]
         p = np.asarray(DEFAULT_PROBABILITIES)[None, :]
         assert np.array_equal(stdtrit(df, p), student_t.ppf(p, df))
@@ -527,6 +579,12 @@ class TestSplitFit:
         sf = SplitFit(fits=(constant_theta_fit(1.3),) * 5)
         ci = split_ci(sf, 1.0, 0.05)
         assert ci.lower == ci.estimate == ci.upper == 1.3
+
+    def test_alpha_too_small_refused(self):
+        # 1 - 1e-17/2 rounds to 1, whose t quantile is infinite
+        sf = SplitFit(fits=(constant_theta_fit(1.3),) * 5)
+        with pytest.raises(ValueError, match="alpha=1e-17 is too small"):
+            split_ci(sf, 1.0, 1e-17)
 
     def test_wider_alpha_narrower_interval(self):
         fits = tuple(constant_theta_fit(v) for v in (1.0, 1.2, 0.8, 1.1, 0.9))

@@ -1,6 +1,8 @@
 """Kernel-smoothed hazards and the ratio intervals built from them."""
 from __future__ import annotations
 
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -13,6 +15,9 @@ from mhrfit.kernel_baseline import (SmoothedHazard, cv_bandwidth_hazard,
                                     _default_candidates)
 from mhrfit.survival_core import (CensoredSample, _hazard_increments,
                                   nelson_aalen)
+
+# 1 - alpha/2 for 2000 levels alpha across (0, 1)
+ALPHA_GRID = 1.0 - np.linspace(0.0005, 0.9995, 2000) / 2.0
 
 
 def exponential_sample(rng, n_per_arm, rate0=1.0, rate1=1.0, cens=0.3):
@@ -152,17 +157,25 @@ class TestSmoothHrCi:
             assert b.upper == pytest.approx(1.0 / a.lower, rel=1e-12)
 
     def test_normal_quantile_matches_scipy_stats(self):
-        # smooth_hr_ci takes its quantile from scipy.special, not
-        # scipy.stats; the two must agree bit for bit.
-        p = np.concatenate([DEFAULT_PROBABILITIES,
-                            1.0 - np.linspace(0.0005, 0.9995, 2000) / 2.0])
+        # scipy.special.ndtri, the reference smooth_hr_ci's quantile is held
+        # to below, agrees bit for bit with scipy.stats.
+        p = np.concatenate([DEFAULT_PROBABILITIES, ALPHA_GRID])
         assert np.array_equal(ndtri(p), norm.ppf(p))
+
+    def test_normal_quantile_matches_ndtri(self):
+        # smooth_hr_ci's quantile, the standard library's AS241
+        p = np.concatenate([DEFAULT_PROBABILITIES, ALPHA_GRID])
+        got = np.array([NormalDist().inv_cdf(x) for x in p.tolist()])
+        assert np.all(np.abs(got - ndtri(p)) <= 4e-15 * np.abs(ndtri(p)))
 
     def test_alpha_validation(self):
         rng = np.random.default_rng(15)
-        s = exponential_sample(rng, 50)
+        fit = smooth_hr_fit(exponential_sample(rng, 50))
         with pytest.raises(ValueError, match="alpha"):
-            smooth_hr_ci(smooth_hr_fit(s), 0.5, 1.0)
+            smooth_hr_ci(fit, 0.5, 1.0)
+        # 1 - 1e-17/2 rounds to 1, whose normal quantile is infinite
+        with pytest.raises(ValueError, match="alpha=1e-17 is too small"):
+            smooth_hr_ci(fit, 0.5, 1e-17)
 
     def test_zero_hazard_refused(self):
         s = CensoredSample.from_arrays(

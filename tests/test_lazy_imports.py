@@ -80,11 +80,10 @@ COMMANDS = {
     "estimate-plugin": (["estimate", "--ci", "plugin"], True, []),
     "diagnose": (["diagnose"], False, []),
     "simulate-monotone": (simulate("monotone"), True, []),
-    "estimate-split": (["estimate", "--ci", "split"], False,
-                       ["scipy.special"]),
-    "estimate-both": (["estimate", "--ci", "both"], True, ["scipy.special"]),
-    "simulate-split": (simulate("split"), False, ["scipy.special"]),
-    "simulate-kernel": (simulate("kernel"), False, ["scipy.special"]),
+    "estimate-split": (["estimate", "--ci", "split"], False, []),
+    "estimate-both": (["estimate", "--ci", "both"], True, []),
+    "simulate-split": (simulate("split"), False, []),
+    "simulate-kernel": (simulate("kernel"), False, []),
     "simulate-concave-monotone": (simulate("monotone", "concave"), True,
                                   ["scipy.special"]),
 }

@@ -290,6 +290,10 @@ class TestStudyConfig:
         # alpha=0.001 puts 1 - alpha/2 outside the Chernoff table, which
         # only the monotone method's plug-in interval reads
         StudyConfig(**ok, alpha=0.001, methods=("split", "kernel"))
+        # but not one where 1 - alpha/2 rounds to 1, or run_study would drop
+        # every interval
+        with pytest.raises(ValueError, match="alpha=1e-17 is too small"):
+            StudyConfig(**ok, alpha=1e-17, methods=("split", "kernel"))
         for bad in (dict(n=1), dict(replications=0), dict(grid=(0.0,)),
                     dict(grid=(2.0,)), dict(alpha=0.0), dict(alpha=0.001),
                     dict(splits=1), dict(threads=0), dict(scenario="cubic"),
