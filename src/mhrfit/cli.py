@@ -33,7 +33,7 @@ from .mhr_estimator import (TruncationPolicy, diagnostic_curve, fit_theta,
                             theta_at)
 from .simulation import SCENARIOS, StudyConfig, run_study
 from .stochastic_orders import (DiscreteDistribution, _separation_pairs,
-                                check_order, figure1_suite)
+                                figure1_suite, order_report)
 from .survival_core import CensoredSample, _first_invalid_row
 
 __all__ = ["main", "cmd_estimate", "cmd_diagnose",
@@ -570,11 +570,11 @@ def _read_distribution(path: str) -> DiscreteDistribution:
 
 def _print_orders(dist_s, dist_t) -> None:
     """Whether S dominates T in each order, with the time where it first fails."""
+    report = order_report(dist_s, dist_t)
     print("order  holds  witness")
     for kind in ("mhr", "hr", "st", "lr"):
-        verdict = check_order(dist_s, dist_t, kind)
-        witness = "" if verdict.holds else str(verdict.point)
-        print(f"{kind:5s}  {str(verdict.holds):5s}  {witness}")
+        holds = getattr(report, kind)
+        print(f"{kind:5s}  {str(holds):5s}  {report.witness.get(kind, '')}")
 
 
 def cmd_order_check(args) -> int:

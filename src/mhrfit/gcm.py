@@ -2,9 +2,13 @@
 
 Lower convex hulls of finite point sets given as coordinate arrays, the
 minorant of one cumulative hazard composed with the inverse of another,
-and left-derivative (slope) extraction.  The hull sweep uses a strict
-cross-product test, so collinear input points stay in the vertex list: the
-vertices are exactly the input points lying on the minorant.
+and left-derivative (slope) extraction.  The composed minorant is taken
+on [0, eta] with eta equal to 0 or a value of the inner cumulative
+hazard, as the fit's eta_n = Lambda_T(gamma_n) is, so its points are
+exactly the hazards' values at the inner hazard's knots.  The hull
+sweep uses a strict cross-product test, so collinear input points stay
+in the vertex list: the vertices are exactly the input points lying on
+the minorant.
 """
 from __future__ import annotations
 
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .survival_core import StepFunction, generalized_inverse
+from .survival_core import StepFunction
 
 __all__ = [
     "ConvexMinorantFit",
@@ -106,15 +110,12 @@ def _lower_convex_hull(u, v) -> ConvexMinorantFit:
     return ConvexMinorantFit(hu, hv, np.diff(hv) / np.diff(hu))
 
 
-def gcm_of_composed_hazards(lambda_S: StepFunction, lambda_T: StepFunction,
-                            eta: float) -> ConvexMinorantFit:
-    """Minorant of u -> lambda_S(lambda_T^-(u)) on [0, eta].
+def _composed_points(lambda_S: StepFunction, lambda_T: StepFunction,
+                     eta: float):
+    """Points (lambda_T(t_j), lambda_S(t_j)) with lambda_T(t_j) <= eta.
 
-    The composition is a left-continuous step function taking the value
-    lambda_S(t_j) on (lambda_T(t_{j-1}), lambda_T(t_j)], so its greatest
-    convex minorant equals the lower convex hull of the points
-    (lambda_T(t_j), lambda_S(t_j)) anchored at (0, 0), with one extra
-    boundary point when eta falls strictly inside a segment.
+    Returns them as two arrays, anchored at (0, 0).  eta must be 0 or a
+    value of lambda_T, so that it is the last point's abscissa.
     """
     if eta > lambda_T.sup:
         raise ValueError(f"eta beyond support: {eta} > {lambda_T.sup}")
@@ -122,12 +123,24 @@ def gcm_of_composed_hazards(lambda_S: StepFunction, lambda_T: StepFunction,
         raise ValueError("eta must be nonnegative")
     keep = lambda_T.values <= eta
     u = np.concatenate([[0.0], lambda_T.values[keep]])
+    if u[-1] != eta:
+        raise ValueError(f"eta must be 0 or a value of lambda_T, got {eta}")
     v = np.concatenate([[0.0], lambda_S(lambda_T.knots[keep])])
-    if not np.any(u == eta):
-        t_eta = generalized_inverse(lambda_T, eta)
-        u = np.append(u, eta)
-        v = np.append(v, lambda_S(t_eta))
-    return _lower_convex_hull(u, v)
+    return u, v
+
+
+def gcm_of_composed_hazards(lambda_S: StepFunction, lambda_T: StepFunction,
+                            eta: float) -> ConvexMinorantFit:
+    """Minorant of u -> lambda_S(lambda_T^-(u)) on [0, eta].
+
+    The composition is a left-continuous step function taking the value
+    lambda_S(t_j) on (lambda_T(t_{j-1}), lambda_T(t_j)], so its greatest
+    convex minorant equals the lower convex hull of the points
+    (lambda_T(t_j), lambda_S(t_j)) anchored at (0, 0).  eta must be 0 or
+    a value of lambda_T, as lambda_T(gamma_n) is, so that no boundary
+    point inside a segment is needed.
+    """
+    return _lower_convex_hull(*_composed_points(lambda_S, lambda_T, eta))
 
 
 def left_slope_at(fit: ConvexMinorantFit, u):

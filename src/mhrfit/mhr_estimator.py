@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .gcm import ConvexMinorantFit, gcm_of_composed_hazards, left_slope_at
+from .gcm import (ConvexMinorantFit, _composed_points,
+                  gcm_of_composed_hazards, left_slope_at)
 from .survival_core import CensoredSample, StepFunction, nelson_aalen
 
 __all__ = [
@@ -126,8 +125,5 @@ def diagnostic_curve(sample: CensoredSample,
     curve is convex.
     """
     fit = fit_theta(sample, policy)
-    lam_T, lam_S = fit.lambda_T_hat, fit.lambda_S_hat
-    mask = lam_T.knots <= fit.gamma_n
-    u = np.concatenate([[0.0], lam_T.values[mask]])
-    v = np.concatenate([[0.0], lam_S(lam_T.knots[mask])])
-    return (u, v), fit.hull
+    points = _composed_points(fit.lambda_S_hat, fit.lambda_T_hat, fit.eta_n)
+    return points, fit.hull

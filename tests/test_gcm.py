@@ -1,6 +1,7 @@
 """Lower convex hulls and composed-hazard minorants."""
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -190,13 +191,13 @@ class TestComposedHazards:
         with pytest.raises(ValueError, match="eta beyond support"):
             gcm_of_composed_hazards(lam, lam, eta=0.6)
 
-    def test_interior_eta_appends_boundary_point(self):
+    def test_interior_eta_refused(self):
         lam_S = StepFunction(np.array([1.0, 3.0]), np.array([0.5, 1.5]))
         lam_T = StepFunction(np.array([2.0, 4.0]), np.array([0.5, 1.5]))
-        fit = gcm_of_composed_hazards(lam_S, lam_T, eta=1.0)
-        assert fit.u[-1] == 1.0
-        # on (0.5, 1.5] the composition is lambda_S at lambda_T's second knot
-        assert fit.v[-1] == 1.5
+        for eta in (0.25, 1.0):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"eta must be 0 or a value of lambda_T, got {eta}")):
+                gcm_of_composed_hazards(lam_S, lam_T, eta)
 
     def test_matches_dense_grid_oracle(self):
         rng = np.random.default_rng(23)
@@ -207,7 +208,8 @@ class TestComposedHazards:
                                  np.cumsum(rng.uniform(0.05, 0.6, k_s)))
             lam_T = StepFunction(np.sort(rng.uniform(0.1, 5.0, k_t)),
                                  np.cumsum(rng.uniform(0.05, 0.6, k_t)))
-            eta = float(rng.uniform(0.3, 1.0)) * lam_T.sup
+            # fit_theta passes eta = lambda_T(gamma_n), one of its values
+            eta = float(rng.choice(lam_T.values))
             fit = gcm_of_composed_hazards(lam_S, lam_T, eta)
             spacing = 1e-4 * eta
             grid = np.linspace(0.0, eta, int(np.ceil(eta / spacing)) + 1)

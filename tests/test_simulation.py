@@ -182,6 +182,26 @@ class TestInversionIsBisection:
                                match="^failed to bracket event time$"):
                 invert(cum, np.array([0.5, np.inf]))
 
+    @pytest.mark.parametrize("name,arm", ARMS)
+    def test_nan_target_refused(self, name, arm):
+        # the oracle's doubling loop leaves a NaN target at top 1 instead
+        with pytest.raises(ValueError, match="^failed to bracket event time$"):
+            _invert_cumulative(arm_cumulative(name, arm),
+                               np.array([0.5, np.nan]))
+
+    @pytest.mark.parametrize("name,arm", ARMS)
+    def test_evaluations_per_target(self, name, arm):
+        sizes = []
+        cum = arm_cumulative(name, arm)
+
+        def recording(x):
+            sizes.append(np.size(x))
+            return cum(x)
+
+        targets = np.random.default_rng(arm).exponential(size=50_000)
+        _invert_cumulative(recording, targets)
+        assert sum(sizes) <= 7 * targets.size
+
 
 class TestCensoring:
     def test_range_and_atoms(self):
@@ -210,6 +230,15 @@ class TestGenerateDataset:
         sc = make_scenario("linear")
         with pytest.raises(ValueError, match="n must be positive"):
             generate_dataset(sc, 0, 0.5, seed=1)
+        for n in (2.5, True, "5", None):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"n must be an integer, got {n!r}")):
+                generate_dataset(sc, n, 0.5, seed=1)
+        # a numpy integer n draws what the equal Python int does
+        a = generate_dataset(sc, np.int64(10), 0.5, seed=1)
+        b = generate_dataset(sc, 10, 0.5, seed=1)
+        assert all(np.array_equal(getattr(a, k), getattr(b, k))
+                   for k in ("time", "status", "arm"))
         with pytest.raises(ValueError, match="pi"):
             generate_dataset(sc, 10, 1.0, seed=1)
 
